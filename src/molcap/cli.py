@@ -150,7 +150,7 @@ def _run_fold(
     train_idx: list[int],
     val_idx: list[int],
     fold_dir: Path,
-) -> tuple[float, list]:
+) -> float:
     fold_dir.mkdir(parents=True, exist_ok=True)
     dtype = np.float32 if args.fast32 else np.float64
     model = Model(model_config, seed=args.seed + fold, dtype=dtype)
@@ -167,7 +167,9 @@ def _run_fold(
 
     model.params = {k: v.copy() for k, v in result.best_parameters.items()}
     save_checkpoint(fold_dir / "model.ckpt", model)
-    scores = predict_scores(model, data, val_idx)
+    # Score at the training batch, as validation did: predict_scores's
+    # default of 256 keeps gigabytes of float64 forward cache alive.
+    scores = predict_scores(model, data, val_idx, batch_size=args.batch)
     curve = roc_points(scores.tolist(), data.labels[val_idx].tolist())
     write_roc_csv(curve, fold_dir / "roc.csv")
     return result.best_val_auc

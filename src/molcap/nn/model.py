@@ -10,6 +10,9 @@ ReLU(identity).  Each block's longest branch stops at its first spatial
 convolution; the deepest convolution of the classic three-branch layout
 is omitted.
 
+Activations are channels-last, (N, H, W, C), from the stem to global
+pooling; see :mod:`molcap.nn.layers` for the convolution scheme.
+
 Captions enter through side branches: the fingerprint through a single
 linear neuron, the key vector through dense(5)+ReLU then a linear
 neuron.  Pooled image features and the enabled caption scalars are
@@ -173,6 +176,9 @@ class Model:
         return dx
 
     def _block_forward(self, prefix: str, stage: str, x: np.ndarray):
+        # The branch 1x1 convolutions that read x stay separate matmuls:
+        # one fused F -> branches*F product measured no faster on OpenBLAS,
+        # and its output would have to be split per branch again.
         branches = _STAGE_BRANCHES[stage]
         outs = []
         caches: dict = {}
@@ -198,8 +204,9 @@ class Model:
         grads[f"{prefix}.proj.w"] = dw
         grads[f"{prefix}.proj.b"] = db
         parts = concat_backward(dmerged, caches["widths"])
-        dx = d_pre.copy()
-        dx += self._conv_relu_backward(f"{prefix}.b0", parts[0], caches["b0"], grads)
+        dx = d_pre + self._conv_relu_backward(
+            f"{prefix}.b0", parts[0], caches["b0"], grads
+        )
         for branch in range(1, branches):
             c0, c1 = caches[f"b{branch}"]
             dmid = self._conv_relu_backward(
@@ -234,7 +241,8 @@ class Model:
         """Run the network, keeping every activation needed by backward.
 
         Args:
-            images: (N, side, side) or (N, 1, side, side) rasters.
+            images: (N, side, side) or channels-last (N, side, side, 1)
+                rasters.
             fingerprints: (N, fp_width) bit array; ignored when the
                 fingerprint branch is disabled.
             keys: (N, keys_width) bit array; ignored when the key branch
@@ -246,10 +254,10 @@ class Model:
         cfg = self.config
         x = np.asarray(images, dtype=self.dtype)
         if x.ndim == 3:
-            x = x[:, None, :, :]
-        if x.shape[2] != cfg.image_side or x.shape[3] != cfg.image_side:
+            x = x[:, :, :, None]
+        if x.shape[1:] != (cfg.image_side, cfg.image_side, 1):
             raise ShapeMismatchError(
-                (x.shape[0], 1, cfg.image_side, cfg.image_side), x.shape
+                (x.shape[0], cfg.image_side, cfg.image_side, 1), x.shape
             )
         cache: dict = {}
         x, cache["stem"] = self._conv_relu("stem", x)

@@ -307,7 +307,7 @@ def test_criterion_07_gradient_checks() -> None:
     worst = 0.0
 
     # Convolution, both strides the network uses.
-    x = rng.standard_normal((2, 3, 6, 5))
+    x = rng.standard_normal((2, 6, 5, 3))
     w = rng.standard_normal((4, 3, 3, 3)) * 0.5
     b = rng.standard_normal(4) * 0.1
     for stride in (1, 2):
@@ -350,7 +350,7 @@ def test_criterion_07_gradient_checks() -> None:
     worst = max(worst, _check_samples(relu_loss, xr, relu_backward(proj_r, mask), h=1e-3))
 
     # Max pooling on all-distinct values (gaps of 0.1 >> the step).
-    xm = 0.1 * rng.permutation(2 * 3 * 7 * 7).reshape(2, 3, 7, 7).astype(np.float64)
+    xm = 0.1 * rng.permutation(2 * 3 * 7 * 7).reshape(2, 7, 7, 3).astype(np.float64)
     ym, cache = maxpool_forward(xm, size=3, stride=2)
     proj_m = rng.standard_normal(ym.shape)
 
@@ -361,7 +361,7 @@ def test_criterion_07_gradient_checks() -> None:
     worst = max(worst, _check_samples(pool_loss, xm, maxpool_backward(proj_m, cache), h=1e-3))
 
     # Global average pooling.
-    xg = rng.standard_normal((2, 4, 5, 5))
+    xg = rng.standard_normal((2, 5, 5, 4))
     yg, shape = global_avg_pool_forward(xg)
     proj_g = rng.standard_normal(yg.shape)
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -255,6 +256,19 @@ def test_cv_fast32_mode(cache_path, tmp_path) -> None:
     assert manifest["config"]["dtype"] == "float32"
 
 
+def test_cv_scores_folds_at_training_batch(cache_path, tmp_path, monkeypatch) -> None:
+    real_predict = cli.predict_scores
+    batch_sizes = []
+
+    def recording(model, data, indices, batch_size=256):
+        batch_sizes.append(batch_size)
+        return real_predict(model, data, indices, batch_size)
+
+    monkeypatch.setattr(cli, "predict_scores", recording)
+    assert run_cv(cache_path, tmp_path / "run") == 0
+    assert batch_sizes == [8, 8]  # run_cv passes --batch 8, two folds
+
+
 def test_cv_rejects_single_fold(cache_path, tmp_path, capsys) -> None:
     status = main(
         [
@@ -399,10 +413,15 @@ def test_usage_errors_exit_2() -> None:
 
 def test_module_execution_smoke(tmp_path) -> None:
     out = tmp_path / "ethane.pgm"
+    # Bare pytest puts src/ on sys.path only; the child needs it too.
+    source_root = str(Path(cli.__file__).resolve().parents[1])
+    python_path = os.pathsep.join(filter(None, [source_root, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": python_path}
     proc = subprocess.run(
         [sys.executable, "-m", "molcap.cli", "draw", "--smiles", "CC", "--out", str(out)],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert out.exists()

@@ -9,10 +9,15 @@ from __future__ import annotations
 
 import importlib
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import molcap
 from molcap.dataset import CachedDataset
 from molcap.errors import ConfigError, NonFiniteLossError, ShapeMismatchError
 from molcap.nn import (
@@ -68,17 +73,17 @@ def check_array_grad(loss_fn, array, analytic, rng, samples=6, h=H) -> None:
 
 def test_conv2d_gradients_stride1() -> None:
     rng = np.random.default_rng(1)
-    x = rng.normal(size=(2, 3, 7, 7))
+    x = rng.normal(size=(2, 7, 7, 3))
     w = rng.normal(size=(4, 3, 3, 3))
     b = rng.normal(size=4)
-    r = rng.normal(size=(2, 4, 7, 7))
+    r = rng.normal(size=(2, 7, 7, 4))
 
     def loss() -> float:
         y, _ = layers.conv2d_forward(x, w, b, stride=1)
         return float((y * r).sum())
 
     y, cache = layers.conv2d_forward(x, w, b, stride=1)
-    assert y.shape == (2, 4, 7, 7)
+    assert y.shape == (2, 7, 7, 4)
     dx, dw, db = layers.conv2d_backward(r, cache)
     check_array_grad(loss, x, dx, rng)
     check_array_grad(loss, w, dw, rng)
@@ -87,17 +92,17 @@ def test_conv2d_gradients_stride1() -> None:
 
 def test_conv2d_gradients_stride2_asymmetric_padding() -> None:
     rng = np.random.default_rng(2)
-    x = rng.normal(size=(2, 2, 8, 8))  # even side: pad splits 0/1
+    x = rng.normal(size=(2, 8, 8, 2))  # even side: pad splits 0/1
     w = rng.normal(size=(3, 2, 3, 3))
     b = rng.normal(size=3)
-    r = rng.normal(size=(2, 3, 4, 4))
+    r = rng.normal(size=(2, 4, 4, 3))
 
     def loss() -> float:
         y, _ = layers.conv2d_forward(x, w, b, stride=2)
         return float((y * r).sum())
 
     y, cache = layers.conv2d_forward(x, w, b, stride=2)
-    assert y.shape == (2, 3, 4, 4)
+    assert y.shape == (2, 4, 4, 3)
     dx, dw, db = layers.conv2d_backward(r, cache)
     check_array_grad(loss, x, dx, rng)
     check_array_grad(loss, w, dw, rng)
@@ -106,26 +111,64 @@ def test_conv2d_gradients_stride2_asymmetric_padding() -> None:
 
 def test_conv2d_asymmetric_kernel_gradients() -> None:
     rng = np.random.default_rng(3)
-    x = rng.normal(size=(1, 2, 5, 9))
+    x = rng.normal(size=(1, 5, 9, 2))
     w = rng.normal(size=(2, 2, 1, 7))
     b = np.zeros(2)
-    r = rng.normal(size=(1, 2, 5, 9))
+    r = rng.normal(size=(1, 5, 9, 2))
 
     def loss() -> float:
         y, _ = layers.conv2d_forward(x, w, b, stride=1)
         return float((y * r).sum())
 
     y, cache = layers.conv2d_forward(x, w, b, stride=1)
-    assert y.shape == (1, 2, 5, 9)
+    assert y.shape == (1, 5, 9, 2)
     dx, dw, _ = layers.conv2d_backward(r, cache)
     check_array_grad(loss, x, dx, rng)
     check_array_grad(loss, w, dw, rng)
 
 
+def naive_same_conv(x, w, b, stride) -> np.ndarray:
+    """Nested-loop cross-correlation with TensorFlow "same" padding."""
+    n, h, width, c = x.shape
+    f, _, kh, kw = w.shape
+    oh, ow = -(-h // stride), -(-width // stride)
+    top = max((oh - 1) * stride + kh - h, 0) // 2
+    left = max((ow - 1) * stride + kw - width, 0) // 2
+    y = np.zeros((n, oh, ow, f))
+    for image in range(n):
+        for r in range(oh):
+            for s in range(ow):
+                for filt in range(f):
+                    total = b[filt]
+                    for i in range(kh):
+                        for j in range(kw):
+                            row = r * stride + i - top
+                            col = s * stride + j - left
+                            if 0 <= row < h and 0 <= col < width:
+                                for channel in range(c):
+                                    total += x[image, row, col, channel] * w[filt, channel, i, j]
+                    y[image, r, s, filt] = total
+    return y
+
+
+@pytest.mark.parametrize("kernel", [(3, 3), (1, 7), (1, 1)])
+@pytest.mark.parametrize("stride", [1, 2])
+def test_conv2d_matches_naive_loops(kernel, stride) -> None:
+    rng = np.random.default_rng(20)
+    for height, width in ((7, 7), (8, 8), (6, 9)):  # odd, even and mixed sides
+        x = rng.normal(size=(2, height, width, 3))
+        w = rng.normal(size=(4, 3, *kernel))
+        b = rng.normal(size=4)
+        y, _ = layers.conv2d_forward(x, w, b, stride=stride)
+        expected = naive_same_conv(x, w, b, stride)
+        assert y.shape == expected.shape
+        assert np.allclose(y, expected, rtol=1e-12, atol=1e-12)
+
+
 def test_conv2d_channel_mismatch() -> None:
     with pytest.raises(ShapeMismatchError):
         layers.conv2d_forward(
-            np.zeros((1, 3, 5, 5)), np.zeros((2, 4, 3, 3)), np.zeros(2)
+            np.zeros((1, 5, 5, 3)), np.zeros((2, 4, 3, 3)), np.zeros(2)
         )
 
 
@@ -164,15 +207,15 @@ def test_relu_gradients_away_from_kink() -> None:
 
 def test_maxpool_gradients_and_routing() -> None:
     rng = np.random.default_rng(6)
-    x = 0.1 * rng.permutation(2 * 2 * 7 * 7).astype(np.float64).reshape(2, 2, 7, 7)
-    r = rng.normal(size=(2, 2, 4, 4))
+    x = 0.1 * rng.permutation(2 * 2 * 7 * 7).astype(np.float64).reshape(2, 7, 7, 2)
+    r = rng.normal(size=(2, 4, 4, 2))
 
     def loss() -> float:
         y, _ = layers.maxpool_forward(x, size=3, stride=2)
         return float((y * r).sum())
 
     y, cache = layers.maxpool_forward(x, size=3, stride=2)
-    assert y.shape == (2, 2, 4, 4)
+    assert y.shape == (2, 4, 4, 2)
     dx = layers.maxpool_backward(r, cache)
     check_array_grad(loss, x, dx, rng, samples=12)
     # Each window routes all gradient to exactly one input cell.
@@ -183,19 +226,19 @@ def test_maxpool_gradients_and_routing() -> None:
 
 def test_maxpool_matches_naive_max() -> None:
     rng = np.random.default_rng(7)
-    x = rng.normal(size=(1, 1, 6, 6))
+    x = rng.normal(size=(1, 6, 6, 1))
     y, _ = layers.maxpool_forward(x, size=3, stride=2)
-    assert y.shape == (1, 1, 3, 3)
-    padded = np.pad(x, ((0, 0), (0, 0), (0, 1), (0, 1)), constant_values=-np.inf)
+    assert y.shape == (1, 3, 3, 1)
+    padded = np.pad(x, ((0, 0), (0, 1), (0, 1), (0, 0)), constant_values=-np.inf)
     for i in range(3):
         for j in range(3):
-            window = padded[0, 0, 2 * i : 2 * i + 3, 2 * j : 2 * j + 3]
-            assert y[0, 0, i, j] == window.max()
+            window = padded[0, 2 * i : 2 * i + 3, 2 * j : 2 * j + 3, 0]
+            assert y[0, i, j, 0] == window.max()
 
 
 def test_global_avg_pool_gradients() -> None:
     rng = np.random.default_rng(8)
-    x = rng.normal(size=(3, 4, 5, 5))
+    x = rng.normal(size=(3, 5, 5, 4))
     r = rng.normal(size=(3, 4))
 
     def loss() -> float:
@@ -203,7 +246,7 @@ def test_global_avg_pool_gradients() -> None:
         return float((y * r).sum())
 
     y, shape = layers.global_avg_pool_forward(x)
-    assert np.allclose(y, x.mean(axis=(2, 3)))
+    assert np.allclose(y, x.mean(axis=(1, 2)))
     dx = layers.global_avg_pool_backward(r, shape)
     check_array_grad(loss, x, dx, rng, samples=10)
 
@@ -299,7 +342,7 @@ def test_residual_block_with_zero_weights_is_relu() -> None:
         if name.startswith("a0."):
             model.params[name][:] = 0.0
     rng = np.random.default_rng(2)
-    x = rng.normal(size=(2, 2, 12, 12))
+    x = rng.normal(size=(2, 12, 12, 2))
     out, _ = model._block_forward("a0", "a", x)
     assert np.array_equal(out, np.maximum(x, 0.0))
 
@@ -467,6 +510,55 @@ def test_float32_mode() -> None:
     assert probs.dtype == np.float32
     loss, _, grads = model.loss_and_gradients(images, fps, keys, np.array([1, 0]))
     assert all(g.dtype == np.float32 for g in grads.values())
+
+
+# Prints a digest of the float64 probabilities and every gradient, one
+# line per (blocks, filters, side, batch) configuration on the command line.
+_THREAD_PROBE = """
+import hashlib, sys
+import numpy as np
+from molcap.nn import Model, ModelConfig
+
+for spec in sys.argv[1:]:
+    blocks, filters, side, batch = map(int, spec.split(","))
+    model = Model(ModelConfig(blocks_per_stage=blocks, filters=filters, image_side=side), seed=1)
+    rng = np.random.default_rng(2)
+    images = rng.random((batch, side, side))
+    fps = rng.integers(0, 2, (batch, model.config.fp_width))
+    keys = rng.integers(0, 2, (batch, model.config.keys_width))
+    _, probs, grads = model.loss_and_gradients(images, fps, keys, np.arange(batch) % 2)
+    digest = hashlib.sha256(probs.tobytes())
+    for name in sorted(grads):
+        digest.update(grads[name].tobytes())
+    print(spec, digest.hexdigest())
+"""
+
+
+def test_float64_results_independent_of_blas_threads() -> None:
+    # The desk configuration, criterion 7's 20 px model and the default
+    # model at its training batch.
+    specs = ["1,4,22,32", "1,4,20,2", "3,16,60,32"]
+    source_root = str(Path(molcap.__file__).resolve().parents[1])
+    python_path = os.pathsep.join(filter(None, [source_root, os.environ.get("PYTHONPATH")]))
+    outputs = []
+    for threads in ("1", "2"):
+        env = {
+            **os.environ,
+            "OPENBLAS_NUM_THREADS": threads,
+            "OMP_NUM_THREADS": threads,
+            "PYTHONPATH": python_path,
+        }
+        proc = subprocess.run(
+            [sys.executable, "-c", _THREAD_PROBE, *specs],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout.splitlines())
+    assert len(outputs[0]) == len(specs)
+    assert outputs[0] == outputs[1]
 
 
 def test_initialization_seeded_and_bounded() -> None:
