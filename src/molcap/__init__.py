@@ -2,9 +2,7 @@
 
 __version__ = "0.1.0"
 
-#: Bumped whenever any featurizer output changes; stored in cache headers.
-FEATURIZER_VERSION = 1
-
+from .dataset import FEATURIZER_VERSION
 from .errors import MolcapError
 from .fingerprints import Fingerprint, morgan_fingerprint
 from .maccs import KeyVector, evaluate_keys, load_key_definitions

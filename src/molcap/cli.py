@@ -2,8 +2,8 @@
 
 Every artifact-producing command writes a JSON run manifest capturing
 the full configuration, SHA-256 digests of its inputs, the paths it
-wrote, and wall-clock timings, so a 64-bit run can be reproduced
-bit-for-bit from the manifest alone (timing fields aside).
+wrote, wall-clock timings and outcome counts, so a 64-bit run can be
+reproduced bit-for-bit from the manifest alone (timing fields aside).
 
 Exit codes: 0 success, 2 usage or input error, 3 training diverged.
 """
@@ -15,12 +15,13 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .dataset import (
+    FEATURIZER_VERSION,
     CachedDataset,
     featurize_dataset,
     corpus_digest,
@@ -50,13 +51,18 @@ __all__ = ["RunManifest", "main"]
 
 @dataclass(frozen=True)
 class RunManifest:
-    """Everything needed to rerun a command and audit what it produced."""
+    """Everything needed to rerun a command and audit what it produced.
+
+    ``counts`` holds outcome counts; ``featurize`` records the molecules
+    kept and the exclusions per reason.
+    """
 
     command: str
     config: dict
     inputs: dict[str, str]
     outputs: list[str]
     timings: dict[str, float]
+    counts: dict = field(default_factory=dict)
 
 
 def _sha256(path: Path) -> str:
@@ -95,6 +101,7 @@ def cmd_featurize(args: argparse.Namespace) -> int:
     exclusions_path = out_path.with_name(out_path.name + ".exclusions.csv")
     write_exclusion_csv(report, exclusions_path)
     seconds = time.perf_counter() - started
+    counts = report.counts
 
     manifest_path = out_path.with_name(out_path.name + ".manifest.json")
     _write_manifest(
@@ -108,16 +115,16 @@ def cmd_featurize(args: argparse.Namespace) -> int:
                 "smiles_column": args.smiles_col,
                 "label_column": args.label_col,
                 "key_file": str(default_key_path()),
-                "featurizer_version": 1,
+                "featurizer_version": FEATURIZER_VERSION,
                 "workers": args.workers,
             },
             inputs={str(in_path): _sha256(in_path)},
             outputs=[str(out_path), str(exclusions_path)],
             timings={"featurize_seconds": seconds},
+            counts={"kept": len(examples), "excluded": counts},
         ),
     )
 
-    counts = report.counts
     breakdown = " ".join(
         f"{reason}={counts[reason]}" for reason in sorted(counts)
     )

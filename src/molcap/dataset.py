@@ -64,6 +64,7 @@ __all__ = [
     "read_cache",
 ]
 
+#: Bumped whenever any featurizer output changes; stored in cache headers.
 FEATURIZER_VERSION = 1
 
 REASON_PARSE = "parse-error"

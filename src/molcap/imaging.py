@@ -362,15 +362,40 @@ def _place_chain_atom(
     placed.add(atom)
 
 
-def _constraints_ok(
-    graph: MolecularGraph, positions: np.ndarray, indices: np.ndarray
+def _placed_bonds(
+    graph: MolecularGraph, indices: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """End-atom index arrays (a, b) of the bonds between placed atoms."""
+    index_set = set(indices.tolist())
+    pairs = [
+        (bond.a, bond.b)
+        for bond in graph.bonds
+        if bond.a in index_set and bond.b in index_set
+    ]
+    ends = np.array(pairs, dtype=np.intp).reshape(-1, 2)
+    return ends[:, 0], ends[:, 1]
+
+
+def _bond_vectors(
+    positions: np.ndarray, bond_a: np.ndarray, bond_b: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-bond (b - a) vectors and their lengths.
+
+    The batched matmul takes the same BLAS dot as ``np.linalg.norm`` on
+    each vector, so lengths are bit-identical to it; ``sqrt(x*x + y*y)``
+    rounds differently for some vectors.
+    """
+    delta = positions[bond_b] - positions[bond_a]
+    return delta, np.sqrt(delta[:, None, :] @ delta[:, :, None])[:, 0, 0]
+
+
+def _distances_ok(
+    positions: np.ndarray, indices: np.ndarray, bond_a: np.ndarray, bond_b: np.ndarray
 ) -> bool:
-    index_set = set(int(i) for i in indices)
-    for bond in graph.bonds:
-        if bond.a in index_set and bond.b in index_set:
-            d = float(np.linalg.norm(positions[bond.a] - positions[bond.b]))
-            if not (1.0 - BOND_TOLERANCE <= d <= 1.0 + BOND_TOLERANCE):
-                return False
+    _, lengths = _bond_vectors(positions, bond_a, bond_b)
+    within = (1.0 - BOND_TOLERANCE <= lengths) & (lengths <= 1.0 + BOND_TOLERANCE)
+    if not within.all():
+        return False
     coords = positions[indices]
     if len(coords) > 1:
         deltas = coords[:, None, :] - coords[None, :, :]
@@ -381,29 +406,41 @@ def _constraints_ok(
     return True
 
 
+def _constraints_ok(
+    graph: MolecularGraph, positions: np.ndarray, indices: np.ndarray
+) -> bool:
+    """Every placed bond within 15% of unit length, no pair under 0.5."""
+    return _distances_ok(positions, indices, *_placed_bonds(graph, indices))
+
+
 def _relax(
     graph: MolecularGraph, positions: np.ndarray, indices: np.ndarray
 ) -> None:
-    """Force-directed cleanup: bond springs plus short-range repulsion."""
-    index_list = [int(i) for i in indices]
-    index_set = set(index_list)
-    bonds = [
-        (bond.a, bond.b)
-        for bond in graph.bonds
-        if bond.a in index_set and bond.b in index_set
-    ]
+    """Force-directed cleanup: bond springs plus short-range repulsion.
+
+    Vectorized over bonds and atoms with the arithmetic of a per-bond
+    loop: each spring term is added with one ``np.add.at`` over the
+    interleaved end atoms (a0, b0, a1, b1, ...), so every atom sums its
+    terms in bond order, and each placed atom takes its repulsion once.
+    """
+    bond_a, bond_b = _placed_bonds(graph, indices)
+    ends = np.empty(2 * len(bond_a), dtype=np.intp)
+    ends[0::2] = bond_a
+    ends[1::2] = bond_b
+    terms = np.empty((len(ends), 2))
     for _ in range(MAX_RELAX_ITERATIONS):
         forces = np.zeros_like(positions)
-        for a, b in bonds:
-            delta = positions[b] - positions[a]
-            d = float(np.linalg.norm(delta))
-            if d < 1e-9:
-                delta = np.array([1e-3, 0.0])
-                d = 1e-3
-            stretch = (d - 1.0) / d
-            forces[a] += 0.5 * stretch * delta
-            forces[b] -= 0.5 * stretch * delta
-        coords = positions[index_list]
+        delta, lengths = _bond_vectors(positions, bond_a, bond_b)
+        degenerate = lengths < 1e-9
+        if degenerate.any():
+            delta[degenerate] = (1e-3, 0.0)
+            lengths[degenerate] = 1e-3
+        stretch = (lengths - 1.0) / lengths
+        spring = (0.5 * stretch)[:, None] * delta
+        terms[0::2] = spring
+        terms[1::2] = -spring
+        np.add.at(forces, ends, terms)
+        coords = positions[indices]
         deltas = coords[:, None, :] - coords[None, :, :]
         distances = np.sqrt((deltas**2).sum(axis=2))
         np.fill_diagonal(distances, np.inf)
@@ -417,15 +454,14 @@ def _relax(
                 where=too_close,
             )
             repulsion = (deltas * push[:, :, None]).sum(axis=1)
-            for row, atom in enumerate(index_list):
-                forces[atom] += 0.5 * repulsion[row]
+            forces[indices] += 0.5 * repulsion
         step = 0.3 * forces
         magnitude = np.sqrt((step**2).sum(axis=1, keepdims=True))
         step = np.where(magnitude > 0.2, step * 0.2 / np.maximum(magnitude, 1e-12), step)
         positions += step
-        if float(np.abs(step[index_list]).max()) < 1e-5:
+        if float(np.abs(step[indices]).max()) < 1e-5:
             break
-        if _constraints_ok(graph, positions, indices):
+        if _distances_ok(positions, indices, bond_a, bond_b):
             break
 
 

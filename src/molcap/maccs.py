@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import KeyFileError, MissingKeyError, PatternParseError, QueryError
 from .smiles import MolecularGraph
-from .substructure import QueryPattern, match_subgraph, parse_query
+from .substructure import MoleculeIndex, QueryPattern, match_subgraph, parse_query
 
 __all__ = [
     "KeyDefinition",
@@ -205,12 +205,14 @@ def _build_definition(
     )
 
 
-def _key_count(graph: MolecularGraph, definition: KeyDefinition) -> int:
+def _key_count(
+    graph: MolecularGraph, definition: KeyDefinition, index: MoleculeIndex
+) -> int:
     """Count occurrences, stopping at the threshold where possible."""
     if definition.kind in ("pattern", "pattern-count"):
         assert definition.query is not None
         return match_subgraph(
-            graph, definition.query, max_count=definition.threshold
+            graph, definition.query, max_count=definition.threshold, index=index
         ).count
     if definition.kind == "element-count":
         assert definition.elements is not None
@@ -235,11 +237,15 @@ def evaluate_keys(
     Returns:
         The 167-bit vector; bit i is 1 iff key i's count reaches its
         threshold.
+
+    One :class:`~molcap.substructure.MoleculeIndex` of ``graph`` is built
+    here and shared by every pattern key.
     """
     if len(definitions) != N_KEYS:
         raise KeyFileError(f"expected {N_KEYS} definitions, got {len(definitions)}")
+    index = MoleculeIndex(graph)
     bits = tuple(
-        1 if _key_count(graph, definition) >= definition.threshold else 0
+        1 if _key_count(graph, definition, index) >= definition.threshold else 0
         for definition in definitions
     )
     return KeyVector(bits=bits)

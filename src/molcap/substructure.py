@@ -37,6 +37,7 @@ __all__ = [
     "QueryBond",
     "QueryPattern",
     "MatchResult",
+    "MoleculeIndex",
     "parse_query",
     "match_subgraph",
 ]
@@ -82,7 +83,14 @@ class QueryAtom:
         return True
 
 
-_BOND_KINDS = ("single", "double", "triple", "aromatic", "any", "default")
+# Bond orders each query bond kind accepts; "any" accepts every order.
+_BOND_KIND_ORDERS = {
+    "single": (BondOrder.SINGLE,),
+    "double": (BondOrder.DOUBLE,),
+    "triple": (BondOrder.TRIPLE,),
+    "aromatic": (BondOrder.AROMATIC,),
+    "default": (BondOrder.SINGLE, BondOrder.AROMATIC),
+}
 
 
 @dataclass
@@ -96,14 +104,7 @@ class QueryBond:
     def matches(self, order: BondOrder) -> bool:
         if self.kind == "any":
             return True
-        if self.kind == "default":
-            return order in (BondOrder.SINGLE, BondOrder.AROMATIC)
-        return order == {
-            "single": BondOrder.SINGLE,
-            "double": BondOrder.DOUBLE,
-            "triple": BondOrder.TRIPLE,
-            "aromatic": BondOrder.AROMATIC,
-        }[self.kind]
+        return order in _BOND_KIND_ORDERS[self.kind]
 
 
 @dataclass
@@ -114,6 +115,9 @@ class QueryPattern:
     bonds: list[QueryBond]
     text: str = ""
     _adjacency: dict[int, list[tuple[int, int]]] = field(
+        default_factory=dict, repr=False, compare=False
+    )
+    _plans: dict[int, list[tuple[int, list[tuple[int, int]]]]] = field(
         default_factory=dict, repr=False, compare=False
     )
 
@@ -129,6 +133,23 @@ class QueryPattern:
 
     def degree(self, index: int) -> int:
         return len(self._adjacency[index])
+
+    def plan(self, start: int) -> list[tuple[int, list[tuple[int, int]]]]:
+        """Search plan from ``start``: per depth, (query atom, back bonds).
+
+        Back bonds are (earlier query atom, bond index) pairs.  The plan
+        depends only on the bond graph, which is fixed at construction,
+        so it is cached per start atom.
+        """
+        plan = self._plans.get(start)
+        if plan is None:
+            plan = []
+            placed: set[int] = set()
+            for q in _query_order(self, start):
+                plan.append((q, [(nb, bi) for nb, bi in self.neighbors(q) if nb in placed]))
+                placed.add(q)
+            self._plans[start] = plan
+        return plan
 
 
 @dataclass
@@ -390,15 +411,54 @@ def _check_connected(query: QueryPattern, pattern: str) -> None:
 # Matching
 
 
+class MoleculeIndex:
+    """Lookup tables of one molecule, shared by every query matched on it.
+
+    Holds each atom's sorted neighbour list, a map from an (i, j) atom
+    pair to the order of the bond between them (both directions), and,
+    built on first use, the atoms satisfying each distinct query-atom
+    predicate as a sorted list and a set.  The graph must not change
+    while the index is in use.
+    """
+
+    def __init__(self, graph: MolecularGraph) -> None:
+        self.graph = graph
+        self.neighbors: list[list[int]] = [
+            sorted(m for m, _ in graph.neighbor_bond_indices(i))
+            for i in range(len(graph.atoms))
+        ]
+        self.bond_orders: dict[tuple[int, int], BondOrder] = {}
+        for bond in graph.bonds:
+            self.bond_orders[bond.a, bond.b] = bond.order
+            self.bond_orders[bond.b, bond.a] = bond.order
+        self._candidates: dict[tuple, tuple[list[int], set[int]]] = {}
+
+    def candidates(self, atom: QueryAtom) -> tuple[list[int], set[int]]:
+        """Molecule atoms satisfying ``atom``, ascending, and as a set."""
+        key = tuple(vars(atom).values())  # every predicate field, in order
+        found = self._candidates.get(key)
+        if found is None:
+            hits = [m for m in range(len(self.graph.atoms)) if atom.matches(self.graph, m)]
+            found = (hits, set(hits))
+            self._candidates[key] = found
+        return found
+
+
 def match_subgraph(
-    graph: MolecularGraph, query: QueryPattern, max_count: int | None = None
+    graph: MolecularGraph,
+    query: QueryPattern,
+    max_count: int | None = None,
+    index: MoleculeIndex | None = None,
 ) -> MatchResult:
     """Count distinct embeddings of ``query`` in ``graph``.
 
     Two embeddings that map the query onto the same set of molecule atoms
     count once.  Matching is monomorphic: molecule bonds absent from the
-    query are ignored.  Candidate atoms are explored in index order from
-    the highest-degree query atom outward, so results are deterministic.
+    query are ignored.  The search starts from the most selective query
+    atom (fewest candidate molecule atoms, lowest index on ties), walks
+    only that atom's candidates, and grows the match along query bonds,
+    taking each new atom from the sorted neighbours of an already matched
+    one.  Results are deterministic.
 
     Args:
         graph: Target molecule.
@@ -406,6 +466,8 @@ def match_subgraph(
         max_count: Stop once this many distinct matches are found (the
             count is then a lower bound, which is all threshold tests
             need).  None means exact.
+        index: Tables of ``graph`` shared across queries; built here
+            when omitted.
 
     Returns:
         MatchResult with the distinct count and the first witness mapping.
@@ -414,65 +476,63 @@ def match_subgraph(
     n = len(graph.atoms)
     if k == 0 or k > n or (max_count is not None and max_count <= 0):
         return MatchResult(0, None)
+    if index is None:
+        index = MoleculeIndex(graph)
+    elif index.graph is not graph:
+        raise ValueError("index was built for a different molecule")
+    candidates = [index.candidates(atom) for atom in query.atoms]
+    if not all(hits for hits, _ in candidates):
+        return MatchResult(0, None)
+    start = min(range(k), key=lambda q: len(candidates[q][0]))
+    plan = query.plan(start)
 
-    order = _query_order(query)
-    # anchors[t] = (query atom, list of (earlier query neighbor, bond idx))
-    anchors: list[tuple[int, list[tuple[int, int]]]] = []
-    placed: set[int] = set()
-    for q in order:
-        back = [(nb, bi) for nb, bi in query.neighbors(q) if nb in placed]
-        anchors.append((q, back))
-        placed.add(q)
-
+    neighbors = index.neighbors
+    bond_orders = index.bond_orders
+    query_bonds = query.bonds
     matches: set[frozenset[int]] = set()
     first: list[tuple[int, ...] | None] = [None]
-    assignment: dict[int, int] = {}
+    assignment = [-1] * k
     used: set[int] = set()
 
     def extend(depth: int) -> bool:
         """Returns True when the search should stop early."""
         if depth == k:
-            key = frozenset(assignment.values())
+            key = frozenset(assignment)
             if key not in matches:
                 matches.add(key)
                 if first[0] is None:
-                    first[0] = tuple(assignment[q] for q in range(k))
+                    first[0] = tuple(assignment)
                 if max_count is not None and len(matches) >= max_count:
                     return True
             return False
-        q, back = anchors[depth]
+        q, back = plan[depth]
+        hits, hit_set = candidates[q]
         if depth == 0:
-            candidates: list[int] | range = range(n)
+            pool = hits
         else:
-            anchor = assignment[back[0][0]]
-            candidates = sorted(m for m, _ in graph.neighbor_bond_indices(anchor))
-        for m in candidates:
-            if m in used or not query.atoms[q].matches(graph, m):
+            pool = [m for m in neighbors[assignment[back[0][0]]] if m in hit_set]
+        for m in pool:
+            if m in used:
                 continue
-            ok = True
             for nb, bond_index in back:
-                bond = graph.bond_between(assignment[nb], m)
-                if bond is None or not query.bonds[bond_index].matches(bond.order):
-                    ok = False
+                order = bond_orders.get((assignment[nb], m))
+                if order is None or not query_bonds[bond_index].matches(order):
                     break
-            if not ok:
-                continue
-            assignment[q] = m
-            used.add(m)
-            if extend(depth + 1):
-                return True
-            del assignment[q]
-            used.remove(m)
+            else:
+                assignment[q] = m
+                used.add(m)
+                if extend(depth + 1):
+                    return True
+                used.remove(m)
         return False
 
     extend(0)
     return MatchResult(len(matches), first[0])
 
 
-def _query_order(query: QueryPattern) -> list[int]:
-    """Visit order: highest-degree start, then connected expansion."""
+def _query_order(query: QueryPattern, start: int) -> list[int]:
+    """Visit order: ``start``, then connected expansion."""
     k = len(query.atoms)
-    start = max(range(k), key=lambda q: (query.degree(q), -q))
     order = [start]
     seen = {start}
     while len(order) < k:

@@ -18,7 +18,7 @@ import pytest
 
 import molcap.cli as cli
 from molcap.cli import main
-from molcap.dataset import read_cache
+from molcap.dataset import FEATURIZER_VERSION, read_cache
 from molcap.errors import NonFiniteLossError
 
 OXYGEN = ["CCO", "CO", "OCC", "O", "CC(=O)C", "OC(C)C", "CCCO", "COC"]
@@ -95,6 +95,7 @@ def test_featurize_writes_cache_report_manifest(tmp_path, capsys) -> None:
     assert manifest["command"] == "featurize"
     assert manifest["config"]["image_side"] == 20
     assert manifest["config"]["label_column"] == "active"
+    assert manifest["config"]["featurizer_version"] == FEATURIZER_VERSION
     digest = hashlib.sha256(csv_path.read_bytes()).hexdigest()
     assert manifest["inputs"][str(csv_path)] == digest
     assert str(out) in manifest["outputs"]
@@ -124,6 +125,11 @@ def test_featurize_reports_exclusions(tmp_path, capsys) -> None:
     assert "does-not-fit=1" in printed
     body = (tmp_path / "corpus.cache.exclusions.csv").read_text()
     assert "parse-error" in body and "does-not-fit" in body
+    manifest = json.loads((tmp_path / "corpus.cache.manifest.json").read_text())
+    assert manifest["counts"] == {
+        "kept": 16,
+        "excluded": {"parse-error": 1, "does-not-fit": 1},
+    }
 
 
 def test_featurize_missing_label_column(tmp_path, capsys) -> None:

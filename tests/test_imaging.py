@@ -2,6 +2,8 @@
 
 Geometry facts (hexagon circumradius, pixel counts) are hand-derived;
 rotation invariance is checked by rotating coordinates before drawing.
+The vectorized relax step is checked against a reference copy of the
+earlier per-bond loop, which it must reproduce byte for byte.
 """
 
 from __future__ import annotations
@@ -12,8 +14,12 @@ import random
 import numpy as np
 import pytest
 
+import molcap.imaging
 from molcap.errors import DoesNotFitError, LayoutFailureError, MolcapError
 from molcap.imaging import (
+    BOND_TOLERANCE,
+    MAX_RELAX_ITERATIONS,
+    MIN_SEPARATION,
     ChemImage,
     Layout2D,
     layout_2d,
@@ -21,7 +27,7 @@ from molcap.imaging import (
     render_molecule,
     write_pgm,
 )
-from molcap.smiles import parse_smiles
+from molcap.smiles import MolecularGraph, parse_smiles
 
 from util import random_smiles
 
@@ -146,6 +152,105 @@ def test_layout_constraints_on_random_molecules() -> None:
             assert _pair_distances(layout).min() >= 0.5 - 1e-9
     # The constraint checks only ran if layouts mostly succeed.
     assert succeeded >= 100
+
+
+# --------------------------------------------------------------------------
+# Reference relax: the earlier per-bond loop
+
+
+def reference_constraints_ok(
+    graph: MolecularGraph, positions: np.ndarray, indices: np.ndarray
+) -> bool:
+    index_set = set(int(i) for i in indices)
+    for bond in graph.bonds:
+        if bond.a in index_set and bond.b in index_set:
+            d = float(np.linalg.norm(positions[bond.a] - positions[bond.b]))
+            if not (1.0 - BOND_TOLERANCE <= d <= 1.0 + BOND_TOLERANCE):
+                return False
+    coords = positions[indices]
+    if len(coords) > 1:
+        deltas = coords[:, None, :] - coords[None, :, :]
+        distances = np.sqrt((deltas**2).sum(axis=2))
+        np.fill_diagonal(distances, np.inf)
+        if distances.min() < MIN_SEPARATION:
+            return False
+    return True
+
+
+def reference_relax(
+    graph: MolecularGraph, positions: np.ndarray, indices: np.ndarray
+) -> None:
+    index_list = [int(i) for i in indices]
+    index_set = set(index_list)
+    bonds = [
+        (bond.a, bond.b)
+        for bond in graph.bonds
+        if bond.a in index_set and bond.b in index_set
+    ]
+    for _ in range(MAX_RELAX_ITERATIONS):
+        forces = np.zeros_like(positions)
+        for a, b in bonds:
+            delta = positions[b] - positions[a]
+            d = float(np.linalg.norm(delta))
+            if d < 1e-9:
+                delta = np.array([1e-3, 0.0])
+                d = 1e-3
+            stretch = (d - 1.0) / d
+            forces[a] += 0.5 * stretch * delta
+            forces[b] -= 0.5 * stretch * delta
+        coords = positions[index_list]
+        deltas = coords[:, None, :] - coords[None, :, :]
+        distances = np.sqrt((deltas**2).sum(axis=2))
+        np.fill_diagonal(distances, np.inf)
+        too_close = distances < 0.9
+        if too_close.any():
+            push = np.zeros_like(distances)
+            np.divide(
+                0.9 - distances,
+                np.maximum(distances, 1e-9),
+                out=push,
+                where=too_close,
+            )
+            repulsion = (deltas * push[:, :, None]).sum(axis=1)
+            for row, atom in enumerate(index_list):
+                forces[atom] += 0.5 * repulsion[row]
+        step = 0.3 * forces
+        magnitude = np.sqrt((step**2).sum(axis=1, keepdims=True))
+        step = np.where(magnitude > 0.2, step * 0.2 / np.maximum(magnitude, 1e-12), step)
+        positions += step
+        if float(np.abs(step[index_list]).max()) < 1e-5:
+            break
+        if reference_constraints_ok(graph, positions, indices):
+            break
+
+
+def _layouts(graphs: list[MolecularGraph]) -> tuple[list[bytes], set[int]]:
+    """Position bytes of each layout, and the indices that failed."""
+    positions: list[bytes] = []
+    failed: set[int] = set()
+    for i, graph in enumerate(graphs):
+        try:
+            positions.append(layout_2d(graph).positions.tobytes())
+        except LayoutFailureError:
+            positions.append(b"")
+            failed.add(i)
+    return positions, failed
+
+
+def test_relax_matches_reference_loop_byte_for_byte(monkeypatch) -> None:
+    rng = random.Random(0)
+    graphs = [
+        parse_smiles(random_smiles(rng, max_atoms=25, ring_bias=0.7))
+        for _ in range(300)
+    ]
+    positions, failed = _layouts(graphs)
+    monkeypatch.setattr(molcap.imaging, "_relax", reference_relax)
+    monkeypatch.setattr(molcap.imaging, "_constraints_ok", reference_constraints_ok)
+    expected_positions, expected_failed = _layouts(graphs)
+    assert failed == expected_failed
+    # The full iteration budget runs on every failure: cover it.
+    assert len(failed) >= 50
+    assert positions == expected_positions
 
 
 # --------------------------------------------------------------------------

@@ -8,6 +8,7 @@ small-pattern subset.
 
 from __future__ import annotations
 
+import hashlib
 import random
 
 import numpy as np
@@ -25,7 +26,7 @@ from molcap.smiles import parse_smiles
 from molcap.substructure import match_subgraph
 
 from test_substructure import oracle_match_sets
-from util import permute_graph, random_smiles
+from util import featurize_corpus, permute_graph, random_smiles
 
 CORPUS = [
     "C",
@@ -340,6 +341,19 @@ def test_adding_a_fragment_never_clears_bits(definitions) -> None:
         after = evaluate_keys(parse_smiles(base + "." + extra), definitions)
         for i in range(N_KEYS):
             assert after.bits[i] >= before.bits[i], i
+
+
+# SHA-256 of the concatenated key bits over ``featurize_corpus()``, recorded
+# with the earlier index-order matcher.  The bits are integers, so the
+# digest holds on any machine; a change means some key answer changed.
+KEY_BITS_SHA256 = "33ff889ef6fb9aea220aa0dca84fc99664809e46bd772b197d45d93be51659c4"
+
+
+def test_key_bits_match_recorded_digest(definitions) -> None:
+    digest = hashlib.sha256()
+    for smiles in featurize_corpus():
+        digest.update(bytes(evaluate_keys(parse_smiles(smiles), definitions).bits))
+    assert digest.hexdigest() == KEY_BITS_SHA256
 
 
 # --------------------------------------------------------------------------

@@ -3,7 +3,8 @@
 The matcher is checked against a brute-force oracle that enumerates all
 injective atom assignments with itertools.permutations and re-implements
 every predicate directly on atom fields, sharing no search code with the
-module under test.
+module under test.  On molecules too large for the oracle it is checked
+against a reference copy of the earlier index-order matcher.
 """
 
 from __future__ import annotations
@@ -14,9 +15,11 @@ import random
 import pytest
 
 from molcap.errors import MalformedPatternError, UnsupportedPrimitiveError
+from molcap.maccs import load_key_definitions
 from molcap.smiles import BondOrder, MolecularGraph, parse_smiles
 from molcap.substructure import (
     MatchResult,
+    MoleculeIndex,
     QueryAtom,
     QueryBond,
     QueryPattern,
@@ -24,7 +27,7 @@ from molcap.substructure import (
     parse_query,
 )
 
-from util import permute_graph, random_smiles
+from util import featurize_corpus, permute_graph, random_smiles
 
 
 # --------------------------------------------------------------------------
@@ -183,6 +186,136 @@ def test_first_mapping_is_valid_embedding() -> None:
     assert bond is not None and bond.order == BondOrder.DOUBLE
     assert graph.atoms[a].element == 6
     assert graph.atoms[b].element == 8
+
+
+# --------------------------------------------------------------------------
+# Reference matcher: the earlier search, which starts from the
+# highest-degree query atom, scans every molecule atom at depth 0 and
+# recomputes its visit order on every call.
+
+
+def reference_match_subgraph(
+    graph: MolecularGraph, query: QueryPattern, max_count: int | None = None
+) -> MatchResult:
+    k = len(query.atoms)
+    n = len(graph.atoms)
+    if k == 0 or k > n or (max_count is not None and max_count <= 0):
+        return MatchResult(0, None)
+
+    order = _reference_query_order(query)
+    anchors: list[tuple[int, list[tuple[int, int]]]] = []
+    placed: set[int] = set()
+    for q in order:
+        back = [(nb, bi) for nb, bi in query.neighbors(q) if nb in placed]
+        anchors.append((q, back))
+        placed.add(q)
+
+    matches: set[frozenset[int]] = set()
+    first: list[tuple[int, ...] | None] = [None]
+    assignment: dict[int, int] = {}
+    used: set[int] = set()
+
+    def extend(depth: int) -> bool:
+        if depth == k:
+            key = frozenset(assignment.values())
+            if key not in matches:
+                matches.add(key)
+                if first[0] is None:
+                    first[0] = tuple(assignment[q] for q in range(k))
+                if max_count is not None and len(matches) >= max_count:
+                    return True
+            return False
+        q, back = anchors[depth]
+        if depth == 0:
+            candidates: list[int] | range = range(n)
+        else:
+            anchor = assignment[back[0][0]]
+            candidates = sorted(m for m, _ in graph.neighbor_bond_indices(anchor))
+        for m in candidates:
+            if m in used or not query.atoms[q].matches(graph, m):
+                continue
+            ok = True
+            for nb, bond_index in back:
+                bond = graph.bond_between(assignment[nb], m)
+                if bond is None or not query.bonds[bond_index].matches(bond.order):
+                    ok = False
+                    break
+            if not ok:
+                continue
+            assignment[q] = m
+            used.add(m)
+            if extend(depth + 1):
+                return True
+            del assignment[q]
+            used.remove(m)
+        return False
+
+    extend(0)
+    return MatchResult(len(matches), first[0])
+
+
+def _reference_query_order(query: QueryPattern) -> list[int]:
+    k = len(query.atoms)
+    start = max(range(k), key=lambda q: (query.degree(q), -q))
+    order = [start]
+    seen = {start}
+    while len(order) < k:
+        best: int | None = None
+        best_key = (-1, -1, 0)
+        for q in range(k):
+            if q in seen:
+                continue
+            attached = sum(1 for nb, _ in query.neighbors(q) if nb in seen)
+            if attached == 0:
+                continue
+            key = (attached, query.degree(q), -q)
+            if key > best_key:
+                best_key = key
+                best = q
+        assert best is not None
+        order.append(best)
+        seen.add(best)
+    return order
+
+
+def _is_embedding(
+    graph: MolecularGraph, query: QueryPattern, mapping: tuple[int, ...]
+) -> bool:
+    if len(mapping) != len(query.atoms) or len(set(mapping)) != len(mapping):
+        return False
+    if not all(qa.matches(graph, m) for qa, m in zip(query.atoms, mapping)):
+        return False
+    for qb in query.bonds:
+        bond = graph.bond_between(mapping[qb.a], mapping[qb.b])
+        if bond is None or not qb.matches(bond.order):
+            return False
+    return True
+
+
+def test_key_patterns_match_reference_on_corpus() -> None:
+    keys = [d for d in load_key_definitions() if d.query is not None]
+    for smiles in featurize_corpus():
+        graph = parse_smiles(smiles)
+        index = MoleculeIndex(graph)
+        for d in keys:
+            for cap in (None, d.threshold):
+                expected = reference_match_subgraph(graph, d.query, max_count=cap)
+                result = match_subgraph(graph, d.query, max_count=cap, index=index)
+                assert result.count == expected.count, (smiles, d.index, cap)
+                if expected.count:
+                    assert _is_embedding(graph, d.query, result.first_mapping)
+                else:
+                    assert result.first_mapping is None
+
+
+def test_shared_index_gives_the_same_result_as_a_fresh_one() -> None:
+    graph = parse_smiles("CC(C)Cc1ccc(cc1)C(C)C(=O)O")
+    index = MoleculeIndex(graph)
+    for pattern in ("c1ccccc1", "C(=O)O", "[CH3]C", "[!#6]", "cC", "N"):
+        query = parse_query(pattern)
+        assert match_subgraph(graph, query, index=index) == match_subgraph(graph, query)
+    with pytest.raises(ValueError):
+        match_subgraph(parse_smiles("CCO"), parse_query("C"), index=index)
 
 
 # --------------------------------------------------------------------------

@@ -12,6 +12,27 @@ import random
 
 from molcap.smiles import Atom, Bond, MolecularGraph, perceive_rings
 
+# Hand-written drug-like molecules: fused aromatics, heteroaromatics,
+# charged groups and a bridged polycyclic (quinine), beside the random ones.
+DRUG_LIKE = (
+    "CC(=O)Oc1ccccc1C(=O)O",
+    "CC(=O)Nc1ccc(O)cc1",
+    "CC(C)Cc1ccc(cc1)C(C)C(=O)O",
+    "Cn1cnc2c1c(=O)n(C)c(=O)n2C",
+    "CN1CCCC1c1cccnc1",
+    "CN(C)C(=N)NC(=N)N",
+    "COc1ccc2cc(ccc2c1)C(C)C(=O)O",
+    "CN1C(=O)CN=C(c2ccccc2)c2cc(Cl)ccc21",
+    "Cc1cc(NS(=O)(=O)c2ccc(N)cc2)no1",
+    "CCC1(C(=O)NC(=O)NC1=O)c1ccccc1",
+    "CN(C)CCCN1c2ccccc2Sc2ccc(Cl)cc21",
+    "OC(=O)CCc1c[nH]c2ccccc12",
+    "C[N+](C)(C)CCOC(C)=O",
+    "O=[N+]([O-])c1ccc(Cl)cc1",
+    "COc1ccc2nccc(C(O)C3CC4CCN3CC4C=C)c2c1",
+    "CC1(C)SC2C(NC(=O)Cc3ccccc3)C(=O)N2C1C(=O)O",
+)
+
 _CAPACITY = {"C": 4, "N": 3, "O": 2, "S": 2, "P": 3, "F": 1, "Cl": 1, "Br": 1, "I": 1}
 _WEIGHTED = ["C"] * 8 + ["N", "N", "O", "O", "S", "F", "Cl", "Br", "P", "I"]
 
@@ -170,3 +191,11 @@ def random_printable(rng: random.Random, max_len: int = 40) -> str:
     """Random fuzz string biased toward SMILES-looking characters."""
     alphabet = "CNOSPFIclnorb=#()[]1234567890%+-@/\\.HBKagZx*$ \t"
     return "".join(rng.choice(alphabet) for _ in range(rng.randint(0, max_len)))
+
+
+def featurize_corpus(count: int = 120, seed: int = 0) -> list[str]:
+    """The drug-like molecules plus ``count`` seeded ring-rich random ones."""
+    rng = random.Random(seed)
+    return list(DRUG_LIKE) + [
+        random_smiles(rng, max_atoms=25, ring_bias=0.7) for _ in range(count)
+    ]
