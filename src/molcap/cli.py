@@ -11,6 +11,7 @@ Exit codes: 0 success, 2 usage or input error, 3 training diverged.
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import json
 import sys
@@ -291,14 +292,12 @@ def _best_epoch_and_totals(history_path: Path) -> tuple[int, int, float]:
     best_epoch, best_auc = 0, -float("inf")
     epochs, seconds = 0, 0.0
     with open(history_path, newline="") as handle:
-        rows = list(handle)
-    for line in rows[1:]:
-        epoch, _, auc, _, secs = line.rstrip("\n").split(",")
-        epochs += 1
-        seconds += float(secs)
-        if float(auc) > best_auc:
-            best_auc = float(auc)
-            best_epoch = int(epoch)
+        for row in csv.DictReader(handle):
+            epochs += 1
+            seconds += float(row["seconds"])
+            auc = float(row["val_auc"])
+            if auc > best_auc:
+                best_auc, best_epoch = auc, int(row["epoch"])
     return best_epoch, epochs, seconds
 
 
@@ -315,7 +314,8 @@ def cmd_report(args: argparse.Namespace) -> int:
         total_epochs = 0
         total_seconds = 0.0
         for fold_output in manifest["outputs"]:
-            fold_dir = Path(fold_output)
+            # Outputs are recorded relative to where cv ran; folds live in run_dir.
+            fold_dir = run_dir / Path(fold_output).name
             if not fold_dir.name.startswith("fold"):
                 continue
             history_path = fold_dir / "history.csv"

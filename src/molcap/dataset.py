@@ -417,6 +417,18 @@ def corpus_digest(molecules: Sequence[LabeledMolecule]) -> str:
     return digest.hexdigest()
 
 
+def _record_dtype(side: int, nbits: int, n_keys: int) -> np.dtype:
+    """One packed cache record: label, raster, then packed fingerprint and keys."""
+    return np.dtype(
+        [
+            ("label", "u1"),
+            ("image", "<f4", (side, side)),
+            ("fingerprint", "u1", (nbits // 8,)),
+            ("keys", "u1", (math.ceil(n_keys / 8),)),
+        ]
+    )
+
+
 def write_cache(
     path: str | Path, examples: Sequence[CaptionedExample], corpus_hash: str
 ) -> None:
@@ -427,11 +439,21 @@ def write_cache(
         examples: Featurized corpus; all must share one image side and
             fingerprint width.
         corpus_hash: 64-char hex digest identifying the source corpus.
+
+    Raises:
+        CacheError: No examples, or sizes differ; the file is not opened.
     """
     if not examples:
         raise CacheError("refusing to write an empty cache")
     side = examples[0].image.side
     nbits = examples[0].fingerprint.nbits
+    if any(e.image.side != side or e.fingerprint.nbits != nbits for e in examples):
+        raise CacheError("examples disagree on image or fingerprint size")
+    records = np.empty(len(examples), dtype=_record_dtype(side, nbits, N_KEYS))
+    records["label"] = [e.label for e in examples]
+    np.stack([e.image.pixels for e in examples], out=records["image"])
+    records["fingerprint"] = [np.frombuffer(e.fingerprint.data, np.uint8) for e in examples]
+    records["keys"] = np.packbits([e.keys.to_array() for e in examples], axis=1)
     header = _HEADER.pack(
         _CACHE_MAGIC,
         _CACHE_VERSION,
@@ -444,15 +466,7 @@ def write_cache(
     )
     with open(path, "wb") as handle:
         handle.write(header)
-        for example in examples:
-            if example.image.side != side or example.fingerprint.nbits != nbits:
-                raise CacheError("examples disagree on image or fingerprint size")
-            handle.write(bytes([example.label]))
-            handle.write(
-                np.ascontiguousarray(example.image.pixels, dtype="<f4").tobytes()
-            )
-            handle.write(example.fingerprint.data)
-            handle.write(example.keys.to_packed_bytes())
+        handle.write(records)
 
 
 def read_cache(
@@ -490,35 +504,18 @@ def read_cache(
     if expected_hash is not None and corpus_hash != expected_hash.lower():
         raise CacheError(f"{path}: corpus hash mismatch")
 
-    fp_bytes = nbits // 8
-    key_bytes = math.ceil(n_keys / 8)
-    record = 1 + side * side * 4 + fp_bytes + key_bytes
-    body = raw[_HEADER.size :]
-    if len(body) != count * record:
+    dtype = _record_dtype(side, nbits, n_keys)
+    body = len(raw) - _HEADER.size
+    if body != count * dtype.itemsize:
         raise CacheError(
-            f"{path}: expected {count * record} record bytes, found {len(body)}"
+            f"{path}: expected {count * dtype.itemsize} record bytes, found {body}"
         )
-
-    labels = np.empty(count, dtype=np.uint8)
-    images = np.empty((count, side, side), dtype=np.float32)
-    fp_packed = np.empty((count, fp_bytes), dtype=np.uint8)
-    key_packed = np.empty((count, key_bytes), dtype=np.uint8)
-    for i in range(count):
-        at = i * record
-        labels[i] = body[at]
-        at += 1
-        images[i] = np.frombuffer(
-            body, dtype="<f4", count=side * side, offset=at
-        ).reshape(side, side)
-        at += side * side * 4
-        fp_packed[i] = np.frombuffer(body, dtype=np.uint8, count=fp_bytes, offset=at)
-        at += fp_bytes
-        key_packed[i] = np.frombuffer(body, dtype=np.uint8, count=key_bytes, offset=at)
+    records = np.frombuffer(raw, dtype=dtype, count=count, offset=_HEADER.size)
     return CachedDataset(
-        images=images,
-        fingerprints=np.unpackbits(fp_packed, axis=1),
-        keys=np.unpackbits(key_packed, axis=1, count=n_keys),
-        labels=labels,
+        images=records["image"].astype(np.float32),
+        fingerprints=np.unpackbits(records["fingerprint"], axis=1),
+        keys=np.unpackbits(records["keys"], axis=1, count=n_keys),
+        labels=records["label"].copy(),
         corpus_hash=corpus_hash,
         featurizer_version=feat_version,
         side=side,

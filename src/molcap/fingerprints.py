@@ -183,7 +183,7 @@ def fold_to_bits(
 
     Args:
         envs: Retained environments.
-        nbits: Vector width; must be a positive power of two.
+        nbits: Vector width; must be a power of two of at least 8.
         radius: Recorded generation radius (defaults to the largest
             radius present, or 0 for an empty list).
 
@@ -191,10 +191,12 @@ def fold_to_bits(
         The folded fingerprint.
 
     Raises:
-        ConfigError: Width not a positive power of two.
+        ConfigError: Width not a power of two of at least 8.
     """
-    if nbits <= 0 or nbits & (nbits - 1):
-        raise ConfigError(f"fingerprint width must be a power of two, got {nbits}")
+    if nbits < 8 or nbits & (nbits - 1):
+        raise ConfigError(
+            f"fingerprint width must be a power of two of at least 8, got {nbits}"
+        )
     if radius is None:
         radius = max((env.radius for env in envs), default=0)
     buffer = bytearray(nbits // 8)

@@ -164,6 +164,28 @@ def test_featurize_deterministic_cache_bytes(tmp_path) -> None:
     assert first.read_bytes() == second.read_bytes()
 
 
+# SHA-256 of the cache the fixture's featurize call writes; a change in the
+# record layout, packing or featurizer output changes it.
+PINNED_CACHE_SHA256 = "b4260d4c7b604e0a1f22537e84755a3908edea77825d760c0abf1892b823f7b8"
+
+
+def test_featurize_cache_bytes_match_pinned_digest(cache_path) -> None:
+    assert hashlib.sha256(cache_path.read_bytes()).hexdigest() == PINNED_CACHE_SHA256
+
+
+def test_featurize_rejects_tiny_fingerprint_width(tmp_path, capsys) -> None:
+    csv_path = tmp_path / "corpus.csv"
+    write_corpus(csv_path)
+    out = tmp_path / "x.cache"
+    status = main(
+        ["featurize", "--in", str(csv_path), "--out", str(out),
+         "--image-side", "20", "--label-col", "active", "--fp-bits", "4"]
+    )
+    assert status == 2
+    assert "power of two of at least 8" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_keys_env_override_recorded(tmp_path, monkeypatch) -> None:
     from molcap.maccs import default_key_path
 
@@ -358,6 +380,22 @@ def test_report_single_run(cache_path, tmp_path) -> None:
     assert float(mean) == metrics["mean"]
     assert float(best) >= 0
     assert float(total) >= 0
+
+
+def test_report_run_read_from_another_directory(
+    cache_path, tmp_path, monkeypatch, capsys
+) -> None:
+    monkeypatch.chdir(tmp_path)
+    assert run_cv(cache_path, Path("sub") / "run") == 0
+    capsys.readouterr()  # drop the cv summary line
+    assert main(["report", "sub/run"]) == 0
+    from_cv_dir = capsys.readouterr().out.splitlines()
+    monkeypatch.chdir(tmp_path / "sub")
+    assert main(["report", "run"]) == 0
+    from_sub_dir = capsys.readouterr().out.splitlines()
+    assert from_sub_dir[0] == from_cv_dir[0]
+    assert from_sub_dir[1].split(",")[0] == "run"
+    assert from_sub_dir[1].split(",")[1:] == from_cv_dir[1].split(",")[1:]
 
 
 def test_report_missing_manifest(tmp_path, capsys) -> None:

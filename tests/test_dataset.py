@@ -503,6 +503,39 @@ def test_cache_rejects_empty(tmp_path) -> None:
         write_cache(tmp_path / "empty.bin", [], "00" * 32)
 
 
+def test_cache_rejects_mixed_sizes_before_opening(tmp_path, small_examples) -> None:
+    _, examples = small_examples
+    (small,), _ = featurize_dataset([LabeledMolecule("CCO", 1)], side=20)
+    path = tmp_path / "data.bin"
+    with pytest.raises(CacheError, match="disagree on image or fingerprint size"):
+        write_cache(path, [small, *examples], "11" * 32)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize(
+    "at, patch",
+    [
+        (4, b"\x02\x00"),  # cache version
+        (6, b"\x02\x00"),  # featurizer version
+        (None, b"\x00"),  # one byte past the last record
+    ],
+)
+def test_cache_rejects_bad_header_or_long_body(
+    tmp_path, small_examples, at, patch
+) -> None:
+    _, examples = small_examples
+    path = tmp_path / "data.bin"
+    write_cache(path, examples, "11" * 32)
+    raw = bytearray(path.read_bytes())
+    if at is None:
+        raw += patch
+    else:
+        raw[at : at + len(patch)] = patch
+    path.write_bytes(bytes(raw))
+    with pytest.raises(CacheError):
+        read_cache(path)
+
+
 def test_corpus_digest_properties() -> None:
     a = [LabeledMolecule("C", 0), LabeledMolecule("CC", 1)]
     b = [LabeledMolecule("CC", 1), LabeledMolecule("C", 0)]

@@ -238,7 +238,7 @@ def test_fold_single_environment() -> None:
 
 
 def test_fold_rejects_non_power_of_two() -> None:
-    for bad in (0, -8, 100, 2047, 3000):
+    for bad in (0, 1, 2, 4, -8, 100, 2047, 3000):
         with pytest.raises(ConfigError):
             fold_to_bits([], bad)
 
