@@ -24,6 +24,7 @@ import numpy as np
 from .dataset import (
     FEATURIZER_VERSION,
     CachedDataset,
+    check_image_side,
     featurize_dataset,
     corpus_digest,
     load_csv,
@@ -361,6 +362,7 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 
 def cmd_draw(args: argparse.Namespace) -> int:
+    check_image_side(args.image_side)
     graph = parse_smiles(args.smiles)
     image = render_molecule(graph, side=args.image_side)
     write_pgm(image, args.out)

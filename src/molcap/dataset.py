@@ -53,6 +53,7 @@ __all__ = [
     "CachedDataset",
     "FEATURIZER_VERSION",
     "load_csv",
+    "check_image_side",
     "featurize_dataset",
     "upsample_minority",
     "stratified_kfold",
@@ -74,6 +75,9 @@ REASON_FIT = "does-not-fit"
 _CACHE_MAGIC = b"MCAP"
 _CACHE_VERSION = 1
 _HEADER = struct.Struct("<4sHHQHHH32s")
+# The header keeps the image side and fingerprint width as uint16.
+_MAX_SIDE = 0xFFFF
+_MAX_FP_BITS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -239,6 +243,12 @@ def _worker_featurize(molecule: LabeledMolecule) -> CaptionedExample | str:
     return _featurize_one(molecule, *_WORKER_STATE["args"])
 
 
+def check_image_side(side: int) -> None:
+    """Raise ConfigError unless a cache can record this raster side."""
+    if not 1 <= side <= _MAX_SIDE:
+        raise ConfigError(f"image side must be between 1 and {_MAX_SIDE}, got {side}")
+
+
 def featurize_dataset(
     molecules: Sequence[LabeledMolecule],
     side: int = 60,
@@ -262,7 +272,14 @@ def featurize_dataset(
     Returns:
         (examples, report): surviving examples in input order, plus one
         report entry (input index, smiles, reason) per exclusion.
+
+    Raises:
+        ConfigError: A side or width the cache cannot record; raised
+            before any molecule is processed.
     """
+    check_image_side(side)
+    if nbits > _MAX_FP_BITS:
+        raise ConfigError(f"fingerprint width must be at most {_MAX_FP_BITS}, got {nbits}")
     if definitions is None:
         definitions = load_key_definitions()
     if workers > 1:

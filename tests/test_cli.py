@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 import molcap.cli as cli
+from molcap import dataset
 from molcap.cli import main
 from molcap.dataset import FEATURIZER_VERSION, read_cache
 from molcap.errors import NonFiniteLossError
@@ -183,6 +184,33 @@ def test_featurize_rejects_tiny_fingerprint_width(tmp_path, capsys) -> None:
     )
     assert status == 2
     assert "power of two of at least 8" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--fp-bits", "65536"], "at most 32768"),
+        (["--image-side", "-5"], "between 1 and 65535"),
+        (["--image-side", "0"], "between 1 and 65535"),
+        (["--image-side", "65536"], "between 1 and 65535"),
+    ],
+)
+def test_featurize_rejects_sizes_the_cache_cannot_hold(
+    tmp_path, capsys, monkeypatch, flags, message
+) -> None:
+    def fail(*args):
+        raise AssertionError("a molecule was featurized")
+
+    monkeypatch.setattr(dataset, "_featurize_one", fail)
+    csv_path = tmp_path / "corpus.csv"
+    write_corpus(csv_path)
+    out = tmp_path / "x.cache"
+    status = main(
+        ["featurize", "--in", str(csv_path), "--out", str(out), "--label-col", "active", *flags]
+    )
+    assert status == 2
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -417,6 +445,15 @@ def test_report_missing_history(cache_path, tmp_path, capsys) -> None:
 
 # --------------------------------------------------------------------------
 # draw
+
+
+@pytest.mark.parametrize("side", ["-5", "0", "65536"])
+def test_draw_rejects_bad_image_side(tmp_path, capsys, side) -> None:
+    out = tmp_path / "x.pgm"
+    status = main(["draw", "--smiles", "CC", "--out", str(out), "--image-side", side])
+    assert status == 2
+    assert "between 1 and 65535" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_draw_writes_pgm(tmp_path, capsys) -> None:

@@ -12,6 +12,7 @@ import math
 import os
 import subprocess
 import sys
+from concurrent.futures import Future
 from pathlib import Path
 
 import numpy as np
@@ -515,11 +516,13 @@ def test_float32_mode() -> None:
 # Prints a digest of the float64 probabilities and every gradient, one
 # line per (blocks, filters, side, batch) configuration on the command line.
 _THREAD_PROBE = """
-import hashlib, sys
+import hashlib, os, sys
+if sys.argv[1] == "pinned":
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
 import numpy as np
 from molcap.nn import Model, ModelConfig
 
-for spec in sys.argv[1:]:
+for spec in sys.argv[2:]:
     blocks, filters, side, batch = map(int, spec.split(","))
     model = Model(ModelConfig(blocks_per_stage=blocks, filters=filters, image_side=side), seed=1)
     rng = np.random.default_rng(2)
@@ -536,12 +539,13 @@ for spec in sys.argv[1:]:
 
 def test_float64_results_independent_of_blas_threads() -> None:
     # The desk configuration, criterion 7's 20 px model and the default
-    # model at its training batch.
+    # model at its training batch.  The last child is pinned to one CPU,
+    # so its layers run every batch slice in the calling thread.
     specs = ["1,4,22,32", "1,4,20,2", "3,16,60,32"]
     source_root = str(Path(molcap.__file__).resolve().parents[1])
     python_path = os.pathsep.join(filter(None, [source_root, os.environ.get("PYTHONPATH")]))
     outputs = []
-    for threads in ("1", "2"):
+    for threads, cpus in (("1", "all"), ("2", "all"), ("2", "pinned")):
         env = {
             **os.environ,
             "OPENBLAS_NUM_THREADS": threads,
@@ -549,7 +553,7 @@ def test_float64_results_independent_of_blas_threads() -> None:
             "PYTHONPATH": python_path,
         }
         proc = subprocess.run(
-            [sys.executable, "-c", _THREAD_PROBE, *specs],
+            [sys.executable, "-c", _THREAD_PROBE, cpus, *specs],
             capture_output=True,
             text=True,
             env=env,
@@ -558,7 +562,92 @@ def test_float64_results_independent_of_blas_threads() -> None:
         assert proc.returncode == 0, proc.stderr
         outputs.append(proc.stdout.splitlines())
     assert len(outputs[0]) == len(specs)
-    assert outputs[0] == outputs[1]
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
+# (input side, C, F, kh, kw, stride): at batch 7 every output is above
+# the split threshold.
+_SPLIT_CONVS = [
+    (50, 8, 16, 3, 3, 1),
+    (100, 4, 16, 3, 3, 2),
+    (50, 8, 16, 1, 7, 1),
+    (50, 8, 16, 1, 1, 1),
+]
+
+
+def _split_kernel_bytes() -> list[bytes]:
+    """Output bytes of every batch-split kernel, forward and backward."""
+    rng = np.random.default_rng(21)
+    results = []
+    for side, c, f, kh, kw, stride in _SPLIT_CONVS:
+        x = rng.normal(size=(7, side, side, c))
+        w = rng.normal(size=(f, c, kh, kw))
+        y, cache = layers.conv2d_forward(x, w, rng.normal(size=f), stride)
+        assert y.size >= layers._SPLIT_MIN
+        grads = layers.conv2d_backward(rng.normal(size=y.shape), cache)
+        results += [y.tobytes(), *(g.tobytes() for g in grads)]
+    x = rng.normal(size=(7, 100, 100, 16))
+    y, cache = layers.maxpool_forward(x, size=3, stride=2)
+    assert y.size >= layers._SPLIT_MIN
+    dx = layers.maxpool_backward(rng.normal(size=y.shape), cache)
+    results += [y.tobytes(), cache[2].tobytes(), dx.tobytes()]
+    y, mask = layers.relu_forward(x)
+    dx = layers.relu_backward(rng.normal(size=x.shape), mask)
+    results += [y.tobytes(), mask.tobytes(), dx.tobytes()]
+    return results
+
+
+def test_split_kernels_independent_of_worker_count(monkeypatch) -> None:
+    # One worker runs the whole batch at once; 2 take one-row slices of
+    # the odd batch of 7, and 3 (more CPUs than some machines have) take
+    # slices of up to 4 rows with a short last one.  Frequent thread
+    # switches shake out any slice that writes outside its rows.
+    results = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for workers, slice_size in ((1, 1 << 16), (2, 1 << 16), (3, 3 << 16)):
+            monkeypatch.setattr(layers, "_workers", lambda n=workers: n)
+            monkeypatch.setattr(layers, "_SLICE", slice_size)
+            results.append(_split_kernel_bytes())
+    finally:
+        sys.setswitchinterval(interval)
+    assert results[0] == results[1] == results[2]
+
+
+class CountingPool:
+    """Stands in for the thread pool: counts each submitted call and runs it inline."""
+
+    def __init__(self) -> None:
+        self.submitted = 0
+
+    def submit(self, fn, *args) -> Future:
+        self.submitted += 1
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+
+def test_split_threshold(monkeypatch) -> None:
+    pool = CountingPool()
+    monkeypatch.setattr(layers, "_workers", lambda: 2)
+    monkeypatch.setattr(layers, "_executor", lambda: pool)
+    # The desk model: no op's output reaches the threshold.
+    model = Model(ModelConfig(blocks_per_stage=1, filters=4, image_side=22), seed=3)
+    rng = np.random.default_rng(22)
+    model.loss_and_gradients(
+        rng.random((32, 22, 22)),
+        rng.integers(0, 2, (32, model.config.fp_width)),
+        rng.integers(0, 2, (32, model.config.keys_width)),
+        np.arange(32) % 2,
+    )
+    assert pool.submitted == 0
+    # A default-model 60 px, 16-filter convolution splits both ways.
+    x = rng.normal(size=(8, 60, 60, 16))
+    y, cache = layers.conv2d_forward(x, rng.normal(size=(16, 16, 3, 3)), np.zeros(16))
+    assert pool.submitted == 1
+    layers.conv2d_backward(np.ones_like(y), cache)
+    assert pool.submitted == 1 + 9
 
 
 def test_initialization_seeded_and_bounded() -> None:
