@@ -176,8 +176,8 @@ def _run_fold(
 
     model.params = {k: v.copy() for k, v in result.best_parameters.items()}
     save_checkpoint(fold_dir / "model.ckpt", model)
-    # Score at the training batch, as validation did: predict_scores's
-    # default of 256 keeps gigabytes of float64 forward cache alive.
+    # Score at the training batch, as validation did: a larger batch keeps
+    # proportionally more float64 forward cache alive.
     scores = predict_scores(model, data, val_idx, batch_size=args.batch)
     curve = roc_points(scores.tolist(), data.labels[val_idx].tolist())
     write_roc_csv(curve, fold_dir / "roc.csv")

@@ -22,16 +22,13 @@ float64.
 The matmuls run on 4-D operands, which NumPy hands to BLAS one image row
 at a time.  For the model's layer sizes each such product is below
 OpenBLAS's threading threshold, so it runs on one BLAS thread and
-float64 results do not depend on the BLAS thread count.  Parallelism
-comes from the batch axis instead: convolution, max pooling and ReLU
-cut their batch into contiguous slices that the calling thread and a
-process-wide thread pool, one thread per further usable CPU, work
-through (NumPy releases the GIL inside these matmuls and ufuncs).  Each
-slice writes only its own rows, and every reduction across the batch
-(the dW and db sums) runs once in the calling thread over the whole
-batch, so results are byte for byte the same for any CPU count.  Ops
-whose output has fewer than 2**18 elements, such as every layer of the
-small desk model, run in the calling thread.
+float64 results do not depend on the BLAS thread count.  Every kernel
+here is serial and works on whatever batch it is given; every output
+row depends on its own input row only, so a batch cut into slices gives
+the bytes of the whole batch.  The batch reductions, a convolution's dW
+and db, add rows in batch order; a caller that runs a batch in slices
+continues them slice by slice with conv2d_backward's ``prior`` (see
+:mod:`molcap.nn.model`, which splits the batch).
 
 Convolutions and pooling use TensorFlow-style "same" padding: the
 output side is ceil(input / stride) and any asymmetric padding puts the
@@ -41,17 +38,11 @@ extra row/column at the bottom/right.
 from __future__ import annotations
 
 import math
-import os
-from collections import deque
 from itertools import product
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ..errors import ShapeMismatchError
-
-if TYPE_CHECKING:
-    from concurrent.futures import ThreadPoolExecutor
 
 __all__ = [
     "same_pad",
@@ -94,68 +85,6 @@ def _pad(x: np.ndarray, kh: int, kw: int, stride: int, value: float = 0.0):
     return x, (oh, ow), (pbh, pbw)
 
 
-# Below this many output elements an op runs in the calling thread: the
-# hand-off to the pool would cost more than the split saves.
-_SPLIT_MIN = 1 << 18
-# A split op is cut into batch slices of about this many output elements,
-# several per worker, which the workers take in turn: a CPU that the host
-# stalls holds up one slice instead of half the batch.
-_SLICE = 1 << 16
-
-# (pid, executor); recreated in a forked child, whose copy has no threads.
-_pool: tuple[int, ThreadPoolExecutor] | None = None
-
-
-def _workers() -> int:
-    """CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):  # not on macOS or Windows
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _executor() -> ThreadPoolExecutor:
-    # Imported on first use: a process that never splits an op, such as
-    # every command but cv, does not pay for it at start-up.
-    from concurrent.futures import ThreadPoolExecutor
-
-    global _pool
-    if _pool is None or _pool[0] != os.getpid():
-        _pool = (os.getpid(), ThreadPoolExecutor(_workers(), "molcap-nn"))
-    return _pool[1]
-
-
-def _over_batch(fn, n: int, size: int) -> None:
-    """Call fn(lo, hi) on contiguous slices covering batch rows [0, n).
-
-    fn must write only rows lo..hi-1 of its outputs.  The calling thread
-    and one pool worker per further CPU take slices of about _SLICE
-    output elements until none is left.  A single CPU, a single row or an
-    op of fewer than _SPLIT_MIN output elements gets one call, fn(0, n).
-    """
-    workers = min(_workers(), n)
-    if workers < 2 or size < _SPLIT_MIN:
-        fn(0, n)
-        return
-    step = max(1, _SLICE * n // size)
-    todo = deque(range(0, n, step))
-
-    def drain() -> None:
-        while True:
-            try:
-                lo = todo.popleft()  # atomic, so each slice runs once
-            except IndexError:
-                return
-            fn(lo, min(lo + step, n))
-
-    pool = _executor()
-    futures = [pool.submit(drain) for _ in range(workers - 1)]
-    try:
-        drain()
-    finally:
-        for future in futures:
-            future.result()
-
-
 def _tap(padded: np.ndarray, i: int, j: int, stride: int, oh: int, ow: int):
     """View of the cells kernel tap (i, j) meets, one per output cell."""
     return padded[
@@ -191,58 +120,76 @@ def conv2d_forward(
     padded, (oh, ow), pad = _pad(x, kh, kw, stride)
     taps = np.ascontiguousarray(w.transpose(2, 3, 1, 0))  # (kh, kw, C, F)
     first, *rest = product(range(kh), range(kw))
-    y = np.empty((n, oh, ow, f), dtype=np.result_type(padded, taps))
-
-    def rows(lo: int, hi: int) -> None:
-        block, out = padded[lo:hi], y[lo:hi]
-        np.matmul(_tap(block, *first, stride, oh, ow), taps[first], out=out)
-        part = np.empty_like(out)
-        for i, j in rest:
-            out += np.matmul(_tap(block, i, j, stride, oh, ow), taps[i, j], out=part)
-        out += b
-
-    _over_batch(rows, n, y.size)
+    y = np.matmul(_tap(padded, *first, stride, oh, ow), taps[first])
+    part = np.empty_like(y)
+    for i, j in rest:
+        y += np.matmul(_tap(padded, i, j, stride, oh, ow), taps[i, j], out=part)
+    y += b
     # perfbench/tracer.py reads x.shape, w and stride from these positions.
     cache = (padded, x.shape, padded.shape, w, stride, (oh, ow), pad)
     return y, cache
 
 
 def conv2d_backward(
-    dy: np.ndarray, cache: tuple
+    dy: np.ndarray, cache: tuple, prior=None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gradients of conv2d_forward: returns (dx, dw, db)."""
+    """Gradients of conv2d_forward: returns (dx, dw, db).
+
+    dw and db add up per-row products in batch order.  With ``prior``, a
+    callable returning the (dw, db) sums of the batch rows before this
+    batch, they continue those sums instead, with the additions of one
+    pass over all the rows.  prior is called once, after dx and every
+    per-row product are done, so it may block until those sums are ready.
+    dy's first row is borrowed for that and restored.
+    """
     padded, x_shape, padded_shape, w, stride, (oh, ow), (pbh, pbw) = cache
     n, h, width, c = x_shape
     f, _, kh, kw = w.shape
+    offsets = list(product(range(kh), range(kw)))
     taps = np.ascontiguousarray(w.transpose(2, 3, 0, 1))  # (kh, kw, F, C)
     dy_t = dy.swapaxes(2, 3)
     dw = np.empty(w.shape, dtype=dy.dtype)
-    db = dy.sum(axis=(0, 1, 2))
-    # Per-row dW products, summed over the whole batch by the caller.
-    dw_rows = np.empty((n, oh, f, c), dtype=np.result_type(dy, padded))
-    if kh == kw == stride == 1:  # one tap covers the unpadded input
-        dx = np.empty(x_shape, dtype=np.result_type(dy, taps))
+    # Per-row dW products: one buffer summed tap after tap, or, when the
+    # sums wait for prior, one per tap.
+    dw_rows = np.empty(
+        (len(offsets) if prior else 1, n, oh, f, c), dtype=np.result_type(dy, padded)
+    )
+    one_tap = kh == kw == stride == 1  # one tap covers the unpadded input
+    if one_tap:
+        dx = np.matmul(dy, taps[0, 0])
+    else:
+        dpadded = np.zeros(padded_shape, dtype=dy.dtype)
+        part = np.empty((n, oh, ow, c), dtype=dy.dtype)
+        dx = dpadded[:, pbh : pbh + h, pbw : pbw + width]
+    for t, (i, j) in enumerate(offsets):
+        rows = dw_rows[t if prior else 0]
+        np.matmul(dy_t, _tap(padded, i, j, stride, oh, ow), out=rows)
+        if not one_tap:
+            window = _tap(dpadded, i, j, stride, oh, ow)
+            window += np.matmul(dy, taps[i, j], out=part)
+        if prior is None:
+            dw[:, :, i, j] = rows.sum(axis=(0, 1))
+    if prior is None:
+        return dx, dw, dy.sum(axis=(0, 1, 2))
+    dw_before, db_before = prior()
+    k = len(offsets)
+    dw_taps = _continue_sum(
+        dw_before.transpose(2, 3, 0, 1).reshape(k, f * c), dw_rows.reshape(k, -1, f * c)
+    )
+    dw[...] = dw_taps.reshape(kh, kw, f, c).transpose(2, 3, 0, 1)
+    return dx, dw, _continue_sum(db_before[None], dy.reshape(1, -1, f))[0]
 
-        def rows(lo: int, hi: int) -> None:
-            np.matmul(dy_t[lo:hi], padded[lo:hi], out=dw_rows[lo:hi])
-            np.matmul(dy[lo:hi], taps[0, 0], out=dx[lo:hi])
 
-        _over_batch(rows, n, dy.size)
-        dw[:, :, 0, 0] = dw_rows.sum(axis=(0, 1))
-        return dx, dw, db
-    dpadded = np.zeros(padded_shape, dtype=dy.dtype)
-    part = np.empty((n, oh, ow, c), dtype=dy.dtype)
-    for i, j in product(range(kh), range(kw)):
-
-        def rows(lo: int, hi: int) -> None:
-            block = _tap(padded[lo:hi], i, j, stride, oh, ow)
-            np.matmul(dy_t[lo:hi], block, out=dw_rows[lo:hi])
-            window = _tap(dpadded[lo:hi], i, j, stride, oh, ow)
-            window += np.matmul(dy[lo:hi], taps[i, j], out=part[lo:hi])
-
-        _over_batch(rows, n, dy.size)
-        dw[:, :, i, j] = dw_rows.sum(axis=(0, 1))
-    return dpadded[:, pbh : pbh + h, pbw : pbw + width], dw, db
+def _continue_sum(before: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """before + rows.sum(axis=1) for rows (K, R, M), with the additions of
+    one in-order sum over the rows that made before and then these rows:
+    NumPy adds rows in order, so row 0 briefly holds before + row 0."""
+    first = rows[:, 0]
+    saved = first.copy()
+    first += before
+    total = rows.sum(axis=1)
+    first[...] = saved
+    return total
 
 
 # --------------------------------------------------------------------------
@@ -270,25 +217,11 @@ def dense_backward(
 
 
 def relu_forward(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    out = np.empty_like(x)
-    mask = np.empty_like(x, dtype=bool)
-
-    def rows(lo: int, hi: int) -> None:
-        np.maximum(x[lo:hi], 0, out=out[lo:hi])
-        np.greater(x[lo:hi], 0, out=mask[lo:hi])
-
-    _over_batch(rows, len(x), x.size)
-    return out, mask
+    return np.maximum(x, 0), x > 0
 
 
 def relu_backward(dy: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    dx = np.empty_like(dy, dtype=np.result_type(dy, mask))
-
-    def rows(lo: int, hi: int) -> None:
-        np.multiply(dy[lo:hi], mask[lo:hi], out=dx[lo:hi])
-
-    _over_batch(rows, len(dy), dy.size)
-    return dx
+    return dy * mask
 
 
 def maxpool_forward(
@@ -297,19 +230,13 @@ def maxpool_forward(
     """Max pooling of a NHWC batch with same padding; ties resolve to the
     first cell in row-major window order."""
     padded, (oh, ow), pad = _pad(x, size, size, stride, value=-np.inf)
-    out = np.empty((len(x), oh, ow, x.shape[3]), dtype=padded.dtype)
+    out = _tap(padded, 0, 0, stride, oh, ow).copy()
     # Window position of each maximum, as a row-major tap index.
     arg = np.zeros(out.shape, dtype=np.min_scalar_type(size * size - 1))
-
-    def rows(lo: int, hi: int) -> None:
-        best, where = out[lo:hi], arg[lo:hi]
-        best[...] = _tap(padded[lo:hi], 0, 0, stride, oh, ow)
-        for t, (i, j) in enumerate(product(range(size), range(size))):
-            cells = _tap(padded[lo:hi], i, j, stride, oh, ow)
-            np.putmask(where, cells > best, t)
-            np.maximum(best, cells, out=best)
-
-    _over_batch(rows, len(x), out.size)
+    for t, (i, j) in enumerate(product(range(size), range(size))):
+        cells = _tap(padded, i, j, stride, oh, ow)
+        np.putmask(arg, cells > out, t)
+        np.maximum(out, cells, out=out)
     cache = (x.shape, padded.shape, arg, size, stride, (oh, ow), pad)
     return out, cache
 
@@ -318,13 +245,9 @@ def maxpool_backward(dy: np.ndarray, cache: tuple) -> np.ndarray:
     x_shape, padded_shape, arg, size, stride, (oh, ow), (pbh, pbw) = cache
     _, h, w, _ = x_shape
     dpadded = np.zeros(padded_shape, dtype=dy.dtype)
-
-    def rows(lo: int, hi: int) -> None:
-        for t, (i, j) in enumerate(product(range(size), range(size))):
-            window = _tap(dpadded[lo:hi], i, j, stride, oh, ow)
-            window += np.where(arg[lo:hi] == t, dy[lo:hi], 0)
-
-    _over_batch(rows, len(dy), dpadded.size)
+    for t, (i, j) in enumerate(product(range(size), range(size))):
+        window = _tap(dpadded, i, j, stride, oh, ow)
+        window += np.where(arg == t, dy, 0)
     return dpadded[:, pbh : pbh + h, pbw : pbw + w]
 
 

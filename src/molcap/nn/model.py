@@ -18,14 +18,38 @@ linear neuron, the key vector through dense(5)+ReLU then a linear
 neuron.  Pooled image features and the enabled caption scalars are
 concatenated and a final dense(1) produces the logit; predictions are
 its sigmoid.
+
+The batch is split here, once, and nowhere else: the layer kernels are
+serial.  The convolutional trunk, stem through global average pooling,
+runs on contiguous slices of the batch, which the calling thread and a
+process-wide thread pool, one thread per further usable CPU, take in
+ascending order (NumPy releases the GIL inside the matmuls and ufuncs).
+A slice of one 60 px image keeps a layer's working set in cache where
+the whole batch would stream tens of megabytes through it.  The caption
+branches and the head run on the whole batch in the calling thread,
+after the trunk in forward and before it in backward.  Every image's
+activations depend on that image alone, so they come out the same for
+any slicing.  A convolution's dW and db add per-row products over the
+whole batch; slice k continues the sums slice k-1 left, so the sums
+make the additions of one pass over the batch, in batch order, and
+float64 results are byte for byte the same for any slicing and any
+number of CPUs.  Slice k waits for slice k-1 only at those additions,
+once its dX and per-row products are done.  A batch whose stem output
+has fewer than 2**18 elements, such as the desk model's at batch 32,
+runs as one slice in the calling thread.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
+import threading
+from collections import deque
 from dataclasses import asdict, dataclass
+from functools import partial
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -47,12 +71,149 @@ from .layers import (
     sigmoid,
 )
 
+if TYPE_CHECKING:
+    from concurrent.futures import ThreadPoolExecutor
+
 __all__ = ["ModelConfig", "Model", "save_checkpoint", "load_checkpoint"]
 
 CHECKPOINT_VERSION = 1
 
 _STAGE_KERNELS = {"a": (3, 3), "b": (1, 7), "c": (1, 3)}
 _STAGE_BRANCHES = {"a": 3, "b": 2, "c": 2}
+
+# Below this many elements in the stem's output a batch runs as one
+# slice in the calling thread: handing slices to the pool would cost
+# more than the split saves.
+_SPLIT_MIN = 1 << 18
+# A split batch is cut into slices of about this many stem-output
+# elements (one default-model image is 57,600), several per worker,
+# which the workers take in turn: a CPU that the host stalls holds up
+# one slice instead of half the batch.
+_SLICE = 1 << 16
+
+# (pid, executor); recreated in a forked child, whose copy has no threads.
+_pool: tuple[int, ThreadPoolExecutor] | None = None
+
+
+def _workers() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):  # not on macOS or Windows
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _executor() -> ThreadPoolExecutor:
+    # Imported on first use: a process that never splits a batch, such
+    # as every command but cv, does not pay for it at start-up.
+    from concurrent.futures import ThreadPoolExecutor
+
+    global _pool
+    if _pool is None or _pool[0] != os.getpid():
+        _pool = (os.getpid(), ThreadPoolExecutor(_workers(), "molcap-nn"))
+    return _pool[1]
+
+
+def _batch_slices(n: int, size: int) -> list[tuple[int, int]]:
+    """Contiguous (lo, hi) row ranges covering a batch of n rows whose
+    stem output has ``size`` elements."""
+    if size < _SPLIT_MIN:
+        return [(0, n)]
+    step = max(1, _SLICE * n // size)
+    return [(lo, min(lo + step, n)) for lo in range(0, n, step)]
+
+
+def _run_slices(fn, count: int, abort=None) -> None:
+    """Call fn(k) for every slice k in range(count).
+
+    The calling thread and one pool worker per further CPU take slices
+    in ascending order until none is left, so the lowest unfinished
+    slice is always running.  Once a call raises, no thread takes a
+    further slice, abort() releases any slice waiting on the failed one,
+    and the first error is raised when every thread has stopped.
+    """
+    workers = min(_workers(), count)
+    if workers < 2:
+        for k in range(count):
+            fn(k)
+        return
+    todo = deque(range(count))
+    errors: list[BaseException] = []
+
+    def drain() -> None:
+        while not errors:
+            try:
+                k = todo.popleft()  # atomic, so each slice runs once
+            except IndexError:
+                return
+            try:
+                fn(k)
+            except BaseException as exc:  # raised again by the caller below
+                errors.append(exc)
+                if abort is not None:
+                    abort()
+
+    pool = _executor()
+    futures = [pool.submit(drain) for _ in range(workers - 1)]
+    try:
+        drain()
+    finally:
+        for future in futures:
+            future.result()
+    if errors:
+        raise errors[0]
+
+
+class _Aborted(Exception):
+    """A slice waited for sums that a failed slice will never add."""
+
+
+class _ConvSums:
+    """Every convolution's dW and db, summed over the batch slice by slice.
+
+    Slice k continues the sums slices 0..k-1 left (conv2d_backward's
+    ``prior``), so each sum makes the additions of one pass over the
+    whole batch, in batch order.  abort() releases every waiting slice.
+    """
+
+    def __init__(self) -> None:
+        # conv name -> (slices summed, dW, db); filled in slice 0's order.
+        self._sums: dict[str, tuple[int, np.ndarray, np.ndarray]] = {}
+        self._changed = threading.Condition()
+        self._aborted = False
+
+    def conv_backward(self, k: int):
+        """conv2d_backward for slice k: returns dX and adds dW and db in turn."""
+
+        def backward(name: str, dy: np.ndarray, conv_cache: tuple) -> np.ndarray:
+            prior = None if k == 0 else partial(self._before, name, k)
+            dx, dw, db = conv2d_backward(dy, conv_cache, prior)
+            with self._changed:
+                self._sums[name] = (k + 1, dw, db)
+                self._changed.notify_all()
+            return dx
+
+        return backward
+
+    def _before(self, name: str, k: int) -> tuple[np.ndarray, np.ndarray]:
+        with self._changed:
+            self._changed.wait_for(
+                lambda: self._aborted or self._sums.get(name, (0,))[0] == k
+            )
+            if self._aborted:
+                raise _Aborted(name)
+            return self._sums[name][1:]
+
+    def abort(self) -> None:
+        with self._changed:
+            self._aborted = True
+            self._changed.notify_all()
+
+    def grads(self) -> dict[str, np.ndarray]:
+        grads = {}
+        for name, (_, dw, db) in self._sums.items():
+            grads[f"{name}.w"] = dw
+            grads[f"{name}.b"] = db
+        return grads
 
 
 @dataclass(frozen=True)
@@ -168,12 +329,10 @@ class Model:
         out, mask = relu_forward(y)
         return out, (conv_cache, mask)
 
-    def _conv_relu_backward(self, name: str, dy, cache, grads):
+    @staticmethod
+    def _conv_relu_backward(name: str, dy, cache, conv_backward):
         conv_cache, mask = cache
-        dx, dw, db = conv2d_backward(relu_backward(dy, mask), conv_cache)
-        grads[f"{name}.w"] = dw
-        grads[f"{name}.b"] = db
-        return dx
+        return conv_backward(name, relu_backward(dy, mask), conv_cache)
 
     def _block_forward(self, prefix: str, stage: str, x: np.ndarray):
         # The branch 1x1 convolutions that read x stay separate matmuls:
@@ -197,22 +356,22 @@ class Model:
         caches.update(widths=widths, proj=proj_cache, mask=mask)
         return out, caches
 
-    def _block_backward(self, prefix: str, stage: str, dy, caches, grads):
+    def _block_backward(self, prefix: str, stage: str, dy, caches, conv_backward):
         branches = _STAGE_BRANCHES[stage]
         d_pre = relu_backward(dy, caches["mask"])
-        dmerged, dw, db = conv2d_backward(d_pre, caches["proj"])
-        grads[f"{prefix}.proj.w"] = dw
-        grads[f"{prefix}.proj.b"] = db
+        dmerged = conv_backward(f"{prefix}.proj", d_pre, caches["proj"])
         parts = concat_backward(dmerged, caches["widths"])
         dx = d_pre + self._conv_relu_backward(
-            f"{prefix}.b0", parts[0], caches["b0"], grads
+            f"{prefix}.b0", parts[0], caches["b0"], conv_backward
         )
         for branch in range(1, branches):
             c0, c1 = caches[f"b{branch}"]
             dmid = self._conv_relu_backward(
-                f"{prefix}.b{branch}c1", parts[branch], c1, grads
+                f"{prefix}.b{branch}c1", parts[branch], c1, conv_backward
             )
-            dx += self._conv_relu_backward(f"{prefix}.b{branch}c0", dmid, c0, grads)
+            dx += self._conv_relu_backward(
+                f"{prefix}.b{branch}c0", dmid, c0, conv_backward
+            )
         return dx
 
     def _reduction_forward(self, name: str, x: np.ndarray):
@@ -223,14 +382,42 @@ class Model:
         merged, widths = concat_forward([out0, out1, pooled])
         return merged, {"b0": c0, "b1": (c1a, c1b), "pool": pool_cache, "widths": widths}
 
-    def _reduction_backward(self, name: str, dy, caches, grads):
+    def _reduction_backward(self, name: str, dy, caches, conv_backward):
         parts = concat_backward(dy, caches["widths"])
-        dx = self._conv_relu_backward(f"{name}.b0", parts[0], caches["b0"], grads)
+        dx = self._conv_relu_backward(f"{name}.b0", parts[0], caches["b0"], conv_backward)
         c1a, c1b = caches["b1"]
-        dmid = self._conv_relu_backward(f"{name}.b1c1", parts[1], c1b, grads)
-        dx += self._conv_relu_backward(f"{name}.b1c0", dmid, c1a, grads)
+        dmid = self._conv_relu_backward(f"{name}.b1c1", parts[1], c1b, conv_backward)
+        dx += self._conv_relu_backward(f"{name}.b1c0", dmid, c1a, conv_backward)
         dx += maxpool_backward(parts[2], caches["pool"])
         return dx
+
+    def _trunk_forward(self, x: np.ndarray) -> tuple[np.ndarray, dict]:
+        """Stem through global average pooling: (features, cache)."""
+        cache: dict = {}
+        x, cache["stem"] = self._conv_relu("stem", x)
+        for stage, reduction in (("a", "ra"), ("b", "rb"), ("c", None)):
+            stage_caches = []
+            for i in range(self.config.blocks_per_stage):
+                x, block_cache = self._block_forward(f"{stage}{i}", stage, x)
+                stage_caches.append(block_cache)
+            cache[stage] = stage_caches
+            if reduction is not None:
+                x, cache[reduction] = self._reduction_forward(reduction, x)
+        features, cache["gap"] = global_avg_pool_forward(x)
+        return features, cache
+
+    def _trunk_backward(self, dfeatures: np.ndarray, cache: dict, conv_backward) -> None:
+        dx = global_avg_pool_backward(dfeatures, cache["gap"])
+        for stage, reduction in (("c", "rb"), ("b", "ra"), ("a", None)):
+            for i in reversed(range(self.config.blocks_per_stage)):
+                dx = self._block_backward(
+                    f"{stage}{i}", stage, dx, cache[stage][i], conv_backward
+                )
+            if reduction is not None:
+                dx = self._reduction_backward(
+                    reduction, dx, cache[reduction], conv_backward
+                )
+        self._conv_relu_backward("stem", dx, cache["stem"], conv_backward)
 
     def forward(
         self,
@@ -259,17 +446,17 @@ class Model:
             raise ShapeMismatchError(
                 (x.shape[0], cfg.image_side, cfg.image_side, 1), x.shape
             )
-        cache: dict = {}
-        x, cache["stem"] = self._conv_relu("stem", x)
-        for stage, reduction in (("a", "ra"), ("b", "rb"), ("c", None)):
-            stage_caches = []
-            for i in range(cfg.blocks_per_stage):
-                x, block_cache = self._block_forward(f"{stage}{i}", stage, x)
-                stage_caches.append(block_cache)
-            cache[stage] = stage_caches
-            if reduction is not None:
-                x, cache[reduction] = self._reduction_forward(reduction, x)
-        features, cache["gap"] = global_avg_pool_forward(x)
+        n = len(x)
+        slices = _batch_slices(n, n * cfg.image_side**2 * cfg.filters)
+        features = np.empty((n, _stage_channels(cfg.filters)["c"]), dtype=self.dtype)
+        trunk: list = [None] * len(slices)
+
+        def run(k: int) -> None:
+            lo, hi = slices[k]
+            features[lo:hi], trunk[k] = self._trunk_forward(x[lo:hi])
+
+        _run_slices(run, len(slices))
+        cache: dict = {"slices": slices, "trunk": trunk}
 
         parts = [features]
         if cfg.use_fingerprint:
@@ -346,13 +533,17 @@ class Model:
             grads["keys0.w"] = dw
             grads["keys0.b"] = db
 
-        dx = global_avg_pool_backward(dfeatures, cache["gap"])
-        for stage, reduction in (("c", "rb"), ("b", "ra"), ("a", None)):
-            for i in reversed(range(cfg.blocks_per_stage)):
-                dx = self._block_backward(f"{stage}{i}", stage, dx, cache[stage][i], grads)
-            if reduction is not None:
-                dx = self._reduction_backward(reduction, dx, cache[reduction], grads)
-        self._conv_relu_backward("stem", dx, cache["stem"], grads)
+        sums = _ConvSums()
+        slices = cache["slices"]
+
+        def run(k: int) -> None:
+            lo, hi = slices[k]
+            self._trunk_backward(
+                dfeatures[lo:hi], cache["trunk"][k], sums.conv_backward(k)
+            )
+
+        _run_slices(run, len(slices), sums.abort)
+        grads.update(sums.grads())
         return loss, grads
 
     def loss_and_gradients(

@@ -96,9 +96,14 @@ def predict_scores(
     model: Model,
     data: CachedDataset,
     indices: list[int],
-    batch_size: int = 256,
+    batch_size: int,
 ) -> np.ndarray:
-    """Forward-only scores for the given examples, in index order."""
+    """Forward-only scores for the given examples, in index order.
+
+    A forward pass keeps its whole cache alive until it returns, about
+    15 MB per example for the default float64 model, so batch_size
+    bounds the memory scoring takes.
+    """
     scores = []
     for start in range(0, len(indices), batch_size):
         batch = list(indices[start : start + batch_size])

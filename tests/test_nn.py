@@ -41,6 +41,7 @@ from molcap.nn import layers
 # The package re-exports the train() function under the submodule's name,
 # so fetch the module itself for monkeypatching and private helpers.
 train_module = importlib.import_module("molcap.nn.train")
+model_module = importlib.import_module("molcap.nn.model")
 
 H = 1e-3
 TOL = 1e-4
@@ -565,54 +566,45 @@ def test_float64_results_independent_of_blas_threads() -> None:
     assert outputs[0] == outputs[1] == outputs[2]
 
 
-# (input side, C, F, kh, kw, stride): at batch 7 every output is above
-# the split threshold.
-_SPLIT_CONVS = [
-    (50, 8, 16, 3, 3, 1),
-    (100, 4, 16, 3, 3, 2),
-    (50, 8, 16, 1, 7, 1),
-    (50, 8, 16, 1, 1, 1),
-]
-
-
-def _split_kernel_bytes() -> list[bytes]:
-    """Output bytes of every batch-split kernel, forward and backward."""
+def _model_bytes(model: Model, batch: int) -> list[bytes]:
+    """Probabilities, loss, every gradient and predict's output, as bytes."""
+    side = model.config.image_side
     rng = np.random.default_rng(21)
-    results = []
-    for side, c, f, kh, kw, stride in _SPLIT_CONVS:
-        x = rng.normal(size=(7, side, side, c))
-        w = rng.normal(size=(f, c, kh, kw))
-        y, cache = layers.conv2d_forward(x, w, rng.normal(size=f), stride)
-        assert y.size >= layers._SPLIT_MIN
-        grads = layers.conv2d_backward(rng.normal(size=y.shape), cache)
-        results += [y.tobytes(), *(g.tobytes() for g in grads)]
-    x = rng.normal(size=(7, 100, 100, 16))
-    y, cache = layers.maxpool_forward(x, size=3, stride=2)
-    assert y.size >= layers._SPLIT_MIN
-    dx = layers.maxpool_backward(rng.normal(size=y.shape), cache)
-    results += [y.tobytes(), cache[2].tobytes(), dx.tobytes()]
-    y, mask = layers.relu_forward(x)
-    dx = layers.relu_backward(rng.normal(size=x.shape), mask)
-    results += [y.tobytes(), mask.tobytes(), dx.tobytes()]
-    return results
+    images = rng.random((batch, side, side))
+    fps = rng.integers(0, 2, (batch, model.config.fp_width))
+    keys = rng.integers(0, 2, (batch, model.config.keys_width))
+    loss, probs, grads = model.loss_and_gradients(images, fps, keys, np.arange(batch) % 2)
+    return [
+        probs.tobytes(),
+        repr(loss).encode(),
+        *(name.encode() + grads[name].tobytes() for name in grads),
+        model.predict(images, fps, keys).tobytes(),
+    ]
 
 
-def test_split_kernels_independent_of_worker_count(monkeypatch) -> None:
-    # One worker runs the whole batch at once; 2 take one-row slices of
-    # the odd batch of 7, and 3 (more CPUs than some machines have) take
-    # slices of up to 4 rows with a short last one.  Frequent thread
-    # switches shake out any slice that writes outside its rows.
-    results = []
+def test_model_split_independent_of_slices_and_workers(monkeypatch) -> None:
+    # A 60 px, 16-filter model: at batch 7 its stem output is above the
+    # split threshold.  The odd batch runs as one slice, then in slices
+    # of 1, 2 and 3 images (the last one short) on 1, 2 and 3 workers
+    # (more CPUs than some machines have).  Frequent thread switches
+    # shake out any slice that writes outside its rows or adds its dW
+    # and db out of turn.
+    model = Model(ModelConfig(blocks_per_stage=1, filters=16, image_side=60), seed=23)
+    image_size = 60 * 60 * 16
+    assert 7 * image_size >= model_module._SPLIT_MIN
+    monkeypatch.setattr(model_module, "_workers", lambda: 1)
+    monkeypatch.setattr(model_module, "_SLICE", 7 * image_size)
+    whole = _model_bytes(model, 7)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        for workers, slice_size in ((1, 1 << 16), (2, 1 << 16), (3, 3 << 16)):
-            monkeypatch.setattr(layers, "_workers", lambda n=workers: n)
-            monkeypatch.setattr(layers, "_SLICE", slice_size)
-            results.append(_split_kernel_bytes())
+        for workers in (1, 2, 3):
+            for images in (1, 2, 3):
+                monkeypatch.setattr(model_module, "_workers", lambda n=workers: n)
+                monkeypatch.setattr(model_module, "_SLICE", images * image_size)
+                assert _model_bytes(model, 7) == whole, (workers, images)
     finally:
         sys.setswitchinterval(interval)
-    assert results[0] == results[1] == results[2]
 
 
 class CountingPool:
@@ -628,26 +620,95 @@ class CountingPool:
         return future
 
 
-def test_split_threshold(monkeypatch) -> None:
+def _step_submits(monkeypatch, model: Model, batch: int) -> tuple[int, int]:
+    """Pool submissions of one forward and of the backward that follows."""
     pool = CountingPool()
-    monkeypatch.setattr(layers, "_workers", lambda: 2)
-    monkeypatch.setattr(layers, "_executor", lambda: pool)
-    # The desk model: no op's output reaches the threshold.
-    model = Model(ModelConfig(blocks_per_stage=1, filters=4, image_side=22), seed=3)
+    monkeypatch.setattr(model_module, "_workers", lambda: 2)
+    monkeypatch.setattr(model_module, "_executor", lambda: pool)
+    side = model.config.image_side
     rng = np.random.default_rng(22)
-    model.loss_and_gradients(
-        rng.random((32, 22, 22)),
-        rng.integers(0, 2, (32, model.config.fp_width)),
-        rng.integers(0, 2, (32, model.config.keys_width)),
-        np.arange(32) % 2,
+    _, cache = model.forward(
+        rng.random((batch, side, side)),
+        rng.integers(0, 2, (batch, model.config.fp_width)),
+        rng.integers(0, 2, (batch, model.config.keys_width)),
     )
-    assert pool.submitted == 0
-    # A default-model 60 px, 16-filter convolution splits both ways.
-    x = rng.normal(size=(8, 60, 60, 16))
-    y, cache = layers.conv2d_forward(x, rng.normal(size=(16, 16, 3, 3)), np.zeros(16))
-    assert pool.submitted == 1
-    layers.conv2d_backward(np.ones_like(y), cache)
-    assert pool.submitted == 1 + 9
+    forward = pool.submitted
+    model.backward(cache, np.arange(batch) % 2)
+    return forward, pool.submitted - forward
+
+
+def test_model_split_threshold(monkeypatch) -> None:
+    # The desk model's stem output at batch 32 (61,952 elements) stays
+    # below the threshold: one slice in the calling thread.
+    desk = Model(ModelConfig(blocks_per_stage=1, filters=4, image_side=22), seed=3)
+    assert _step_submits(monkeypatch, desk, 32) == (0, 0)
+    # A 60 px, 16-filter model reaches it at batch 5 (288,000 elements;
+    # batch 4 has 230,400) and then splits both ways.
+    model = Model(ModelConfig(blocks_per_stage=1, filters=16, image_side=60), seed=3)
+    assert _step_submits(monkeypatch, model, 4) == (0, 0)
+    assert _step_submits(monkeypatch, model, 5) == (1, 1)
+    # A batch of one row is never handed off, whatever its size.
+    monkeypatch.setattr(model_module, "_SPLIT_MIN", 1)
+    assert _step_submits(monkeypatch, model, 1) == (0, 0)
+
+
+# Four one-image slices of the desk model on two workers.  Slice 1 fails
+# in its stem's backward, but only once a later slice is waiting for the
+# stem gradient sums slice 1 will now never add.  The failure must reach
+# the caller and release that slice, or this child never exits.
+_FAILING_SLICE = """
+import importlib, threading
+import numpy as np
+from molcap.nn import Model, ModelConfig
+
+model_module = importlib.import_module("molcap.nn.model")
+model_module._workers = lambda: 2
+model_module._SPLIT_MIN = model_module._SLICE = 1
+real_backward = model_module.conv2d_backward
+later_slice_waits = threading.Event()
+
+
+def backward(dy, cache, prior=None):
+    stem = cache[1][3] == 1
+    if stem and np.all(cache[0][0, 1:-1, 1:-1] == 0.25):  # image 1's stem
+        later_slice_waits.wait(timeout=30)
+        raise RuntimeError("slice 1 failed")
+    if stem and prior is not None:
+        real_prior = prior
+
+        def prior():
+            later_slice_waits.set()
+            return real_prior()
+
+    return real_backward(dy, cache, prior)
+
+
+model_module.conv2d_backward = backward
+model = Model(ModelConfig(blocks_per_stage=1, filters=4, image_side=22), seed=1)
+rng = np.random.default_rng(2)
+images = rng.random((4, 22, 22))
+images[1] = 0.25
+fps = rng.integers(0, 2, (4, model.config.fp_width))
+keys = rng.integers(0, 2, (4, model.config.keys_width))
+try:
+    model.loss_and_gradients(images, fps, keys, np.arange(4) % 2)
+except RuntimeError as exc:
+    print("raised:", exc, "waited:", later_slice_waits.is_set())
+"""
+
+
+def test_failing_slice_releases_waiting_slices() -> None:
+    source_root = str(Path(molcap.__file__).resolve().parents[1])
+    python_path = os.pathsep.join(filter(None, [source_root, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _FAILING_SLICE],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": python_path},
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "raised: slice 1 failed waited: True"
 
 
 def test_initialization_seeded_and_bounded() -> None:
