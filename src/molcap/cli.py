@@ -187,6 +187,8 @@ def _run_fold(
 def cmd_cv(args: argparse.Namespace) -> int:
     if args.folds < 2:
         raise ConfigError("--folds must be at least 2")
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be at least 0, got {args.seed}")
     started = time.perf_counter()
     in_path = Path(args.in_path)
     out_dir = Path(args.out)

@@ -274,10 +274,12 @@ def featurize_dataset(
         report entry (input index, smiles, reason) per exclusion.
 
     Raises:
-        ConfigError: A side or width the cache cannot record; raised
-            before any molecule is processed.
+        ConfigError: A side or width the cache cannot record, or a
+            negative radius; raised before any molecule is processed.
     """
     check_image_side(side)
+    if radius < 0:
+        raise ConfigError(f"fingerprint radius must be at least 0, got {radius}")
     if nbits > _MAX_FP_BITS:
         raise ConfigError(f"fingerprint width must be at most {_MAX_FP_BITS}, got {nbits}")
     if definitions is None:

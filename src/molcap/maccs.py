@@ -75,24 +75,8 @@ class KeyVector:
         if len(self.bits) != N_KEYS:
             raise KeyFileError(f"key vector needs {N_KEYS} bits, got {len(self.bits)}")
 
-    def to_string(self) -> str:
-        return "".join(str(b) for b in self.bits)
-
-    @classmethod
-    def from_string(cls, text: str) -> "KeyVector":
-        return cls(bits=tuple(int(c) for c in text))
-
     def to_array(self) -> np.ndarray:
         return np.asarray(self.bits, dtype=np.uint8)
-
-    def to_packed_bytes(self) -> bytes:
-        """21 bytes; the final bit of padding is always zero."""
-        return np.packbits(self.to_array()).tobytes()
-
-    @classmethod
-    def from_packed_bytes(cls, data: bytes) -> "KeyVector":
-        unpacked = np.unpackbits(np.frombuffer(data, dtype=np.uint8))[:N_KEYS]
-        return cls(bits=tuple(int(b) for b in unpacked))
 
 
 def default_key_path() -> Path:

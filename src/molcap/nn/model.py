@@ -1,14 +1,10 @@
 """Fused image+caption classifier built from the layer primitives.
 
-Architecture: a 3x3 stem convolution, then three stages of residual
-multi-branch blocks separated by two stride-2 reductions, then global
-average pooling.  Stage-1 blocks use 3x3 branch convolutions, stage-2
-blocks 1x7, stage-3 blocks 1x3; every block concatenates its branches,
-projects back to the input channel count with a linear 1x1, adds the
-input, and applies ReLU, so a zero-initialized block is exactly
-ReLU(identity).  Each block's longest branch stops at its first spatial
-convolution; the deepest convolution of the classic three-branch layout
-is omitted.
+The image trunk is defined once, as data: :func:`_trunk_plan` lists its
+units (the stem, the residual blocks and the reductions) in forward
+order.  ``_build`` walks that list to create the parameters,
+``_unit_forward`` and ``_unit_backward`` run any unit, and the trunk
+walks the list forwards and in reverse.
 
 Activations are channels-last, (N, H, W, C), from the stem to global
 pooling; see :mod:`molcap.nn.layers` for the convolution scheme.
@@ -49,7 +45,7 @@ from collections import deque
 from dataclasses import asdict, dataclass
 from functools import partial
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -77,9 +73,6 @@ if TYPE_CHECKING:
 __all__ = ["ModelConfig", "Model", "save_checkpoint", "load_checkpoint"]
 
 CHECKPOINT_VERSION = 1
-
-_STAGE_KERNELS = {"a": (3, 3), "b": (1, 7), "c": (1, 3)}
-_STAGE_BRANCHES = {"a": 3, "b": 2, "c": 2}
 
 # Below this many elements in the stem's output a batch runs as one
 # slice in the calling thread: handing slices to the pool would cost
@@ -253,10 +246,38 @@ class ModelConfig:
             )
 
 
-def _stage_channels(filters: int) -> dict[str, int]:
-    # Each reduction concatenates two F-filter conv branches with the
-    # pooled pass-through, so channels grow F -> 3F -> 5F.
-    return {"a": filters, "b": 3 * filters, "c": 5 * filters}
+class _Unit(NamedTuple):
+    """One unit of the image trunk; a ReLU follows every convolution."""
+
+    name: str  # prefix of the proj convolution
+    # Chains of (conv name, kh, kw, stride); each chain reads the unit's
+    # input and every convolution has ``filters`` outputs.
+    branches: tuple[tuple[tuple[str, int, int, int], ...], ...]
+    pool: bool = False  # a 3x3 stride-2 max-pool of the input joins them
+    # A linear 1x1 maps the concatenation back to the input width; the
+    # input is added and a ReLU applied.
+    proj: bool = False
+
+
+def _trunk_plan(blocks_per_stage: int) -> tuple[_Unit, ...]:
+    """The image trunk, stem to last block, in forward order.
+
+    Each block's longest branch stops at its first spatial convolution:
+    the deepest convolution of the classic three-branch layout is
+    omitted.  A zero-initialized block is exactly ReLU(identity).
+    """
+    plan = [_Unit("stem", ((("stem", 3, 3, 1),),))]
+    for stage, kh, kw, width in (("a", 3, 3, 3), ("b", 1, 7, 2), ("c", 1, 3, 2)):
+        for u in (f"{stage}{i}" for i in range(blocks_per_stage)):
+            deeps = (
+                ((f"{u}.b{j}c0", 1, 1, 1), (f"{u}.b{j}c1", kh, kw, 1)) for j in range(1, width)
+            )
+            plan.append(_Unit(u, (((f"{u}.b0", 1, 1, 1),), *deeps), proj=True))
+        if stage != "c":
+            r = f"r{stage}"
+            deep = ((f"{r}.b1c0", 1, 1, 1), (f"{r}.b1c1", 3, 3, 2))
+            plan.append(_Unit(r, (((f"{r}.b0", 3, 3, 2),), deep), pool=True))
+    return tuple(plan)
 
 
 class Model:
@@ -294,130 +315,93 @@ class Model:
     def _build(self) -> None:
         cfg = self.config
         f = cfg.filters
-        channels = _stage_channels(f)
-        self._conv("stem", 1, f, 3, 3)
-        for stage in ("a", "b", "c"):
-            c_in = channels[stage]
-            kh, kw = _STAGE_KERNELS[stage]
-            branches = _STAGE_BRANCHES[stage]
-            for i in range(cfg.blocks_per_stage):
-                prefix = f"{stage}{i}"
-                self._conv(f"{prefix}.b0", c_in, f, 1, 1)
-                for branch in range(1, branches):
-                    self._conv(f"{prefix}.b{branch}c0", c_in, f, 1, 1)
-                    self._conv(f"{prefix}.b{branch}c1", f, f, kh, kw)
-                self._conv(f"{prefix}.proj", branches * f, c_in, 1, 1)
-            if stage != "c":
-                reduction = "ra" if stage == "a" else "rb"
-                self._conv(f"{reduction}.b0", c_in, f, 3, 3)
-                self._conv(f"{reduction}.b1c0", c_in, f, 1, 1)
-                self._conv(f"{reduction}.b1c1", f, f, 3, 3)
+        self._plan = _trunk_plan(cfg.blocks_per_stage)
+        channels = 1
+        for unit in self._plan:
+            for branch in unit.branches:
+                c_in = channels
+                for name, kh, kw, _ in branch:
+                    self._conv(name, c_in, f, kh, kw)
+                    c_in = f
+            width = len(unit.branches) * f
+            if unit.proj:
+                self._conv(f"{unit.name}.proj", width, channels, 1, 1)
+            else:
+                channels = width + channels * unit.pool
+        self._trunk_width = channels
         if cfg.use_fingerprint:
             self._dense("fp", cfg.fp_width, 1)
         if cfg.use_keys:
             self._dense("keys0", cfg.keys_width, cfg.maccs_hidden)
             self._dense("keys1", cfg.maccs_hidden, 1)
-        head_in = channels["c"] + int(cfg.use_fingerprint) + int(cfg.use_keys)
+        head_in = channels + int(cfg.use_fingerprint) + int(cfg.use_keys)
         self._dense("head", head_in, 1)
 
     # -- forward -----------------------------------------------------------
 
-    def _conv_relu(self, name: str, x: np.ndarray, stride: int = 1):
-        y, conv_cache = conv2d_forward(
-            x, self.params[f"{name}.w"], self.params[f"{name}.b"], stride
-        )
-        out, mask = relu_forward(y)
-        return out, (conv_cache, mask)
+    def _conv_forward(self, name: str, x: np.ndarray, stride: int):
+        return conv2d_forward(x, self.params[f"{name}.w"], self.params[f"{name}.b"], stride)
 
-    @staticmethod
-    def _conv_relu_backward(name: str, dy, cache, conv_backward):
-        conv_cache, mask = cache
-        return conv_backward(name, relu_backward(dy, mask), conv_cache)
-
-    def _block_forward(self, prefix: str, stage: str, x: np.ndarray):
+    def _unit_forward(self, unit: _Unit, x: np.ndarray):
         # The branch 1x1 convolutions that read x stay separate matmuls:
         # one fused F -> branches*F product measured no faster on OpenBLAS,
         # and its output would have to be split per branch again.
-        branches = _STAGE_BRANCHES[stage]
         outs = []
-        caches: dict = {}
-        out0, caches["b0"] = self._conv_relu(f"{prefix}.b0", x)
-        outs.append(out0)
-        for branch in range(1, branches):
-            mid, c0 = self._conv_relu(f"{prefix}.b{branch}c0", x)
-            deep, c1 = self._conv_relu(f"{prefix}.b{branch}c1", mid)
-            caches[f"b{branch}"] = (c0, c1)
-            outs.append(deep)
-        merged, widths = concat_forward(outs)
-        proj, proj_cache = conv2d_forward(
-            merged, self.params[f"{prefix}.proj.w"], self.params[f"{prefix}.proj.b"], 1
-        )
-        out, mask = relu_forward(x + proj)
-        caches.update(widths=widths, proj=proj_cache, mask=mask)
-        return out, caches
+        cache: dict = {"branches": []}
+        for branch in unit.branches:
+            y, steps = x, []
+            for name, _, _, stride in branch:
+                y, conv_cache = self._conv_forward(name, y, stride)
+                y, mask = relu_forward(y)
+                steps.append((conv_cache, mask))
+            outs.append(y)
+            cache["branches"].append(steps)
+        if unit.pool:
+            pooled, cache["pool"] = maxpool_forward(x, size=3, stride=2)
+            outs.append(pooled)
+        if len(outs) == 1:
+            out = outs[0]
+        else:
+            out, cache["widths"] = concat_forward(outs)
+        if unit.proj:
+            proj, cache["proj"] = self._conv_forward(f"{unit.name}.proj", out, 1)
+            out, cache["mask"] = relu_forward(x + proj)
+        return out, cache
 
-    def _block_backward(self, prefix: str, stage: str, dy, caches, conv_backward):
-        branches = _STAGE_BRANCHES[stage]
-        d_pre = relu_backward(dy, caches["mask"])
-        dmerged = conv_backward(f"{prefix}.proj", d_pre, caches["proj"])
-        parts = concat_backward(dmerged, caches["widths"])
-        dx = d_pre + self._conv_relu_backward(
-            f"{prefix}.b0", parts[0], caches["b0"], conv_backward
-        )
-        for branch in range(1, branches):
-            c0, c1 = caches[f"b{branch}"]
-            dmid = self._conv_relu_backward(
-                f"{prefix}.b{branch}c1", parts[branch], c1, conv_backward
-            )
-            dx += self._conv_relu_backward(
-                f"{prefix}.b{branch}c0", dmid, c0, conv_backward
-            )
+    @staticmethod
+    def _unit_backward(unit: _Unit, dy, cache: dict, conv_backward) -> np.ndarray:
+        # dx adds the residual's, each branch's and the pool's gradient,
+        # in that order, each as soon as it is known.
+        dx = None
+        if unit.proj:
+            dx = relu_backward(dy, cache["mask"])
+            dy = conv_backward(f"{unit.name}.proj", dx, cache["proj"])
+        parts = concat_backward(dy, cache["widths"]) if "widths" in cache else [dy]
+        for part, branch, steps in zip(parts, unit.branches, cache["branches"]):
+            for (name, *_), (conv_cache, mask) in zip(reversed(branch), reversed(steps)):
+                part = conv_backward(name, relu_backward(part, mask), conv_cache)
+            if dx is None:
+                dx = part
+            else:
+                dx += part
+        if unit.pool:
+            dx += maxpool_backward(parts[-1], cache["pool"])
         return dx
 
-    def _reduction_forward(self, name: str, x: np.ndarray):
-        out0, c0 = self._conv_relu(f"{name}.b0", x, stride=2)
-        mid, c1a = self._conv_relu(f"{name}.b1c0", x)
-        out1, c1b = self._conv_relu(f"{name}.b1c1", mid, stride=2)
-        pooled, pool_cache = maxpool_forward(x, size=3, stride=2)
-        merged, widths = concat_forward([out0, out1, pooled])
-        return merged, {"b0": c0, "b1": (c1a, c1b), "pool": pool_cache, "widths": widths}
-
-    def _reduction_backward(self, name: str, dy, caches, conv_backward):
-        parts = concat_backward(dy, caches["widths"])
-        dx = self._conv_relu_backward(f"{name}.b0", parts[0], caches["b0"], conv_backward)
-        c1a, c1b = caches["b1"]
-        dmid = self._conv_relu_backward(f"{name}.b1c1", parts[1], c1b, conv_backward)
-        dx += self._conv_relu_backward(f"{name}.b1c0", dmid, c1a, conv_backward)
-        dx += maxpool_backward(parts[2], caches["pool"])
-        return dx
-
-    def _trunk_forward(self, x: np.ndarray) -> tuple[np.ndarray, dict]:
+    def _trunk_forward(self, x: np.ndarray) -> tuple[np.ndarray, tuple]:
         """Stem through global average pooling: (features, cache)."""
-        cache: dict = {}
-        x, cache["stem"] = self._conv_relu("stem", x)
-        for stage, reduction in (("a", "ra"), ("b", "rb"), ("c", None)):
-            stage_caches = []
-            for i in range(self.config.blocks_per_stage):
-                x, block_cache = self._block_forward(f"{stage}{i}", stage, x)
-                stage_caches.append(block_cache)
-            cache[stage] = stage_caches
-            if reduction is not None:
-                x, cache[reduction] = self._reduction_forward(reduction, x)
-        features, cache["gap"] = global_avg_pool_forward(x)
-        return features, cache
+        caches = []
+        for unit in self._plan:
+            x, unit_cache = self._unit_forward(unit, x)
+            caches.append(unit_cache)
+        features, gap_cache = global_avg_pool_forward(x)
+        return features, (caches, gap_cache)
 
-    def _trunk_backward(self, dfeatures: np.ndarray, cache: dict, conv_backward) -> None:
-        dx = global_avg_pool_backward(dfeatures, cache["gap"])
-        for stage, reduction in (("c", "rb"), ("b", "ra"), ("a", None)):
-            for i in reversed(range(self.config.blocks_per_stage)):
-                dx = self._block_backward(
-                    f"{stage}{i}", stage, dx, cache[stage][i], conv_backward
-                )
-            if reduction is not None:
-                dx = self._reduction_backward(
-                    reduction, dx, cache[reduction], conv_backward
-                )
-        self._conv_relu_backward("stem", dx, cache["stem"], conv_backward)
+    def _trunk_backward(self, dfeatures: np.ndarray, cache: tuple, conv_backward) -> None:
+        caches, gap_cache = cache
+        dx = global_avg_pool_backward(dfeatures, gap_cache)
+        for unit, unit_cache in zip(reversed(self._plan), reversed(caches)):
+            dx = self._unit_backward(unit, dx, unit_cache, conv_backward)
 
     def forward(
         self,
@@ -437,6 +421,10 @@ class Model:
 
         Returns:
             (probabilities of shape (N, 1), cache for backward).
+
+        Raises:
+            ShapeMismatchError: The images have the wrong side, or an
+                enabled caption input is missing or not (N, width).
         """
         cfg = self.config
         x = np.asarray(images, dtype=self.dtype)
@@ -447,8 +435,12 @@ class Model:
                 (x.shape[0], cfg.image_side, cfg.image_side, 1), x.shape
             )
         n = len(x)
+        if cfg.use_fingerprint:
+            fp = self._caption(fingerprints, (n, cfg.fp_width))
+        if cfg.use_keys:
+            kv = self._caption(keys, (n, cfg.keys_width))
         slices = _batch_slices(n, n * cfg.image_side**2 * cfg.filters)
-        features = np.empty((n, _stage_channels(cfg.filters)["c"]), dtype=self.dtype)
+        features = np.empty((n, self._trunk_width), dtype=self.dtype)
         trunk: list = [None] * len(slices)
 
         def run(k: int) -> None:
@@ -460,13 +452,11 @@ class Model:
 
         parts = [features]
         if cfg.use_fingerprint:
-            fp = np.asarray(fingerprints, dtype=self.dtype)
             fp_out, cache["fp"] = dense_forward(
                 fp, self.params["fp.w"], self.params["fp.b"]
             )
             parts.append(fp_out)
         if cfg.use_keys:
-            kv = np.asarray(keys, dtype=self.dtype)
             hidden, k0 = dense_forward(
                 kv, self.params["keys0.w"], self.params["keys0.b"]
             )
@@ -482,6 +472,12 @@ class Model:
         )
         cache["logits"] = logits
         return sigmoid(logits), cache
+
+    def _caption(self, array: np.ndarray | None, shape: tuple[int, int]) -> np.ndarray:
+        got = None if array is None else np.shape(array)
+        if got != shape:
+            raise ShapeMismatchError(shape, got)
+        return np.asarray(array, dtype=self.dtype)
 
     def predict(
         self,

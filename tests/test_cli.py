@@ -214,6 +214,23 @@ def test_featurize_rejects_sizes_the_cache_cannot_hold(
     assert not out.exists()
 
 
+def test_featurize_rejects_negative_radius(tmp_path, capsys, monkeypatch) -> None:
+    def fail(*args):
+        raise AssertionError("a molecule was featurized")
+
+    monkeypatch.setattr(dataset, "_featurize_one", fail)
+    csv_path = tmp_path / "corpus.csv"
+    write_corpus(csv_path)
+    out = tmp_path / "x.cache"
+    status = main(
+        ["featurize", "--in", str(csv_path), "--out", str(out),
+         "--image-side", "20", "--label-col", "active", "--radius", "-1"]
+    )
+    assert status == 2
+    assert "radius must be at least 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_keys_env_override_recorded(tmp_path, monkeypatch) -> None:
     from molcap.maccs import default_key_path
 
@@ -336,6 +353,18 @@ def test_cv_rejects_single_fold(cache_path, tmp_path, capsys) -> None:
     )
     assert status == 2
     assert "folds" in capsys.readouterr().err
+
+
+def test_cv_rejects_negative_seed(tmp_path, capsys, monkeypatch) -> None:
+    def fail(*args):
+        raise AssertionError("the cache was read")
+
+    monkeypatch.setattr(cli, "read_cache", fail)
+    out = tmp_path / "run"
+    status = main(["cv", "--in", str(tmp_path / "x.cache"), "--out", str(out), "--seed", "-1"])
+    assert status == 2
+    assert "--seed must be at least 0" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cv_missing_cache(tmp_path, capsys) -> None:

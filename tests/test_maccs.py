@@ -357,17 +357,7 @@ def test_key_bits_match_recorded_digest(definitions) -> None:
 
 
 # --------------------------------------------------------------------------
-# KeyVector serialization
-
-
-def test_vector_serialization_roundtrip(definitions) -> None:
-    vector = evaluate_keys(parse_smiles("CC(=O)Oc1ccccc1C(=O)O"), definitions)
-    text = vector.to_string()
-    assert len(text) == 167 and set(text) <= {"0", "1"}
-    assert KeyVector.from_string(text) == vector
-    packed = vector.to_packed_bytes()
-    assert len(packed) == 21
-    assert KeyVector.from_packed_bytes(packed) == vector
+# KeyVector
 
 
 def test_vector_array_shape(definitions) -> None:

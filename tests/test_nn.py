@@ -7,6 +7,7 @@ checked against an independently coded scalar recurrence.
 
 from __future__ import annotations
 
+import hashlib
 import importlib
 import math
 import os
@@ -345,7 +346,8 @@ def test_residual_block_with_zero_weights_is_relu() -> None:
             model.params[name][:] = 0.0
     rng = np.random.default_rng(2)
     x = rng.normal(size=(2, 12, 12, 2))
-    out, _ = model._block_forward("a0", "a", x)
+    unit = next(unit for unit in model._plan if unit.name == "a0")
+    out, _ = model._unit_forward(unit, x)
     assert np.array_equal(out, np.maximum(x, 0.0))
 
 
@@ -438,6 +440,22 @@ def test_wrong_image_side_rejected() -> None:
     images, fps, keys = small_inputs(rng, side=16)
     with pytest.raises(ShapeMismatchError):
         model.forward(images, fps, keys)
+
+
+def test_bad_caption_inputs_rejected() -> None:
+    model = Model(ModelConfig(**SMALL), seed=9)
+    rng = np.random.default_rng(8)
+    images, fps, keys = small_inputs(rng, n=3)
+    for bad_fps, bad_keys in (
+        (None, keys),
+        (fps, None),
+        (fps[0], keys),
+        (fps, keys[:, 0]),
+        (fps[:2], keys),
+        (fps, keys[:2]),
+    ):
+        with pytest.raises(ShapeMismatchError):
+            model.forward(images, bad_fps, bad_keys)
 
 
 def test_head_bias_gradient_closed_form() -> None:
@@ -727,6 +745,35 @@ def test_initialization_seeded_and_bounded() -> None:
                 else value.shape[1] * value.shape[2] * value.shape[3]
             )
             assert np.abs(value).max() <= math.sqrt(3.0 / fan_in)
+
+
+@pytest.mark.parametrize(
+    "cfg, count, digest",
+    [
+        ({}, 106, "a1ab1ad43c049c27a6e80c9df5dcb2016b61db46436a756357129226c58712ba"),
+        (
+            dict(blocks_per_stage=1, filters=4, image_side=22),
+            50,
+            "abf85072defa2833b686973543f7f38731a9a5262bb1c2d92674d7a19939f98c",
+        ),
+        (
+            dict(blocks_per_stage=2, filters=8, image_side=40, use_fingerprint=False),
+            76,
+            "5bbb91db4e0d7bb663a0e560798ae6cbf66dc133b0e9842a0d59a198215ca841",
+        ),
+    ],
+)
+def test_parameter_layout_and_init_order_pinned(cfg, count, digest) -> None:
+    # Names, shapes, order and seeded values of every parameter; PCG64
+    # draws are the same on every machine.  A saved checkpoint loads only
+    # into the same names and shapes, and the init order fixes a seeded
+    # run's weights and so its model.ckpt bytes.
+    model = Model(ModelConfig(**cfg), seed=1)
+    h = hashlib.sha256()
+    for name, value in model.params.items():
+        h.update(f"{name}{value.shape}".encode() + value.tobytes())
+    assert len(model.params) == count
+    assert h.hexdigest() == digest
 
 
 # --------------------------------------------------------------------------
