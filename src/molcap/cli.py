@@ -16,7 +16,7 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -154,6 +154,7 @@ def _combo_name(use_fp: bool, use_maccs: bool) -> str:
 def _run_fold(
     data: CachedDataset,
     model_config: ModelConfig,
+    train_config: TrainConfig,
     args: argparse.Namespace,
     fold: int,
     train_idx: list[int],
@@ -163,14 +164,7 @@ def _run_fold(
     fold_dir.mkdir(parents=True, exist_ok=True)
     dtype = np.float32 if args.fast32 else np.float64
     model = Model(model_config, seed=args.seed + fold, dtype=dtype)
-    config = TrainConfig(
-        learning_rate=args.lr,
-        batch_size=args.batch,
-        patience=args.patience,
-        lr_factor=args.lr_factor,
-        max_epochs=args.max_epochs,
-        seed=args.seed + fold,
-    )
+    config = replace(train_config, seed=args.seed + fold)
     result = train(model, data, train_idx, val_idx, config)
     write_history_csv(result.history, fold_dir / "history.csv")
 
@@ -189,10 +183,16 @@ def cmd_cv(args: argparse.Namespace) -> int:
         raise ConfigError("--folds must be at least 2")
     if args.seed < 0:
         raise ConfigError(f"--seed must be at least 0, got {args.seed}")
+    train_config = TrainConfig(
+        learning_rate=args.lr,
+        batch_size=args.batch,
+        patience=args.patience,
+        lr_factor=args.lr_factor,
+        max_epochs=args.max_epochs,
+    )
     started = time.perf_counter()
     in_path = Path(args.in_path)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     data = read_cache(in_path)
 
     # No flag at all means the full captioned configuration.
@@ -208,6 +208,7 @@ def cmd_cv(args: argparse.Namespace) -> int:
         use_fingerprint=use_fp,
         use_keys=use_maccs,
     )
+    out_dir.mkdir(parents=True, exist_ok=True)
     split = stratified_kfold(data.labels.tolist(), k=args.folds, seed=args.seed)
     folds = [0] if args.holdout else list(range(args.folds))
 
@@ -221,6 +222,7 @@ def cmd_cv(args: argparse.Namespace) -> int:
         auc = _run_fold(
             data,
             model_config,
+            train_config,
             args,
             fold,
             split.train_indices(fold),
@@ -256,13 +258,7 @@ def cmd_cv(args: argparse.Namespace) -> int:
             command="cv",
             config={
                 "model": asdict(model_config),
-                "train": {
-                    "learning_rate": args.lr,
-                    "batch_size": args.batch,
-                    "patience": args.patience,
-                    "lr_factor": args.lr_factor,
-                    "max_epochs": args.max_epochs,
-                },
+                "train": {k: v for k, v in asdict(train_config).items() if k != "seed"},
                 "combo": _combo_name(use_fp, use_maccs),
                 "mode": "holdout" if args.holdout else "cv",
                 "folds": args.folds,

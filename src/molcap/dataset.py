@@ -266,24 +266,27 @@ def featurize_dataset(
         nbits: Fingerprint width.
         definitions: Key definitions; loaded from the default file when
             omitted.
-        workers: Process count for parallel featurization; 1 runs
-            inline.
+        workers: Process count for parallel featurization, at least 1
+            and capped at the corpus size; 1 runs inline.
 
     Returns:
         (examples, report): surviving examples in input order, plus one
         report entry (input index, smiles, reason) per exclusion.
 
     Raises:
-        ConfigError: A side or width the cache cannot record, or a
-            negative radius; raised before any molecule is processed.
+        ConfigError: A side or width the cache cannot record, a negative
+            radius or no worker; raised before any molecule is processed.
     """
     check_image_side(side)
     if radius < 0:
         raise ConfigError(f"fingerprint radius must be at least 0, got {radius}")
     if nbits > _MAX_FP_BITS:
         raise ConfigError(f"fingerprint width must be at most {_MAX_FP_BITS}, got {nbits}")
+    if workers < 1:
+        raise ConfigError(f"workers must be at least 1, got {workers}")
     if definitions is None:
         definitions = load_key_definitions()
+    workers = min(workers, len(molecules))
     if workers > 1:
         with multiprocessing.Pool(
             workers,

@@ -20,8 +20,9 @@ serial.  The convolutional trunk, stem through global average pooling,
 runs on contiguous slices of the batch, which the calling thread and a
 process-wide thread pool, one thread per further usable CPU, take in
 ascending order (NumPy releases the GIL inside the matmuls and ufuncs).
-A slice of one 60 px image keeps a layer's working set in cache where
-the whole batch would stream tens of megabytes through it.  The caption
+Four-image slices (see ``_SPLIT_MIN``) beat one-image ones: fewer GIL
+hand-offs between short NumPy calls, fewer waits for dW and db sums.
+Backward frees each unit's forward cache once it is used.  The caption
 branches and the head run on the whole batch in the calling thread,
 after the trunk in forward and before it in backward.  Every image's
 activations depend on that image alone, so they come out the same for
@@ -76,13 +77,11 @@ CHECKPOINT_VERSION = 1
 
 # Below this many elements in the stem's output a batch runs as one
 # slice in the calling thread: handing slices to the pool would cost
-# more than the split saves.
-_SPLIT_MIN = 1 << 18
-# A split batch is cut into slices of about this many stem-output
-# elements (one default-model image is 57,600), several per worker,
+# more than the split saves.  A split batch is cut into slices of about
+# this size (one default-model image is 57,600), several per worker,
 # which the workers take in turn: a CPU that the host stalls holds up
 # one slice instead of half the batch.
-_SLICE = 1 << 16
+_SPLIT_MIN = 1 << 18
 
 # (pid, executor); recreated in a forked child, whose copy has no threads.
 _pool: tuple[int, ThreadPoolExecutor] | None = None
@@ -111,7 +110,7 @@ def _batch_slices(n: int, size: int) -> list[tuple[int, int]]:
     stem output has ``size`` elements."""
     if size < _SPLIT_MIN:
         return [(0, n)]
-    step = max(1, _SLICE * n // size)
+    step = max(1, _SPLIT_MIN * n // size)
     return [(lo, min(lo + step, n)) for lo in range(0, n, step)]
 
 
@@ -400,8 +399,8 @@ class Model:
     def _trunk_backward(self, dfeatures: np.ndarray, cache: tuple, conv_backward) -> None:
         caches, gap_cache = cache
         dx = global_avg_pool_backward(dfeatures, gap_cache)
-        for unit, unit_cache in zip(reversed(self._plan), reversed(caches)):
-            dx = self._unit_backward(unit, dx, unit_cache, conv_backward)
+        for unit in reversed(self._plan):
+            dx = self._unit_backward(unit, dx, caches.pop(), conv_backward)
 
     def forward(
         self,
@@ -495,7 +494,8 @@ class Model:
         """Mean-BCE loss and its gradient for every parameter.
 
         Args:
-            cache: Second return value of :func:`forward`.
+            cache: Second return value of :func:`forward`; its trunk part
+                is consumed, each unit's activations freed once used.
             labels: Binary targets, one per batch row.
 
         Returns:

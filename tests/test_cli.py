@@ -231,6 +231,24 @@ def test_featurize_rejects_negative_radius(tmp_path, capsys, monkeypatch) -> Non
     assert not out.exists()
 
 
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_featurize_rejects_no_workers(tmp_path, capsys, monkeypatch, workers) -> None:
+    def fail(*args):
+        raise AssertionError("a molecule was featurized")
+
+    monkeypatch.setattr(dataset, "_featurize_one", fail)
+    csv_path = tmp_path / "corpus.csv"
+    write_corpus(csv_path)
+    out = tmp_path / "x.cache"
+    status = main(
+        ["featurize", "--in", str(csv_path), "--out", str(out),
+         "--image-side", "20", "--label-col", "active", "--workers", workers]
+    )
+    assert status == 2
+    assert "workers must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_keys_env_override_recorded(tmp_path, monkeypatch) -> None:
     from molcap.maccs import default_key_path
 
@@ -365,6 +383,29 @@ def test_cv_rejects_negative_seed(tmp_path, capsys, monkeypatch) -> None:
     assert status == 2
     assert "--seed must be at least 0" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flag, message, reads",
+    [
+        ("--batch", "batch_size must be at least 1", 0),
+        ("--blocks", "blocks_per_stage must be at least 1", 1),
+    ],
+)
+def test_cv_rejects_bad_flags_before_making_the_run_directory(
+    cache_path, tmp_path, capsys, monkeypatch, flag, message, reads
+) -> None:
+    real_read_cache = cli.read_cache
+    read = []
+    monkeypatch.setattr(cli, "read_cache", lambda path: read.append(path) or real_read_cache(path))
+    out = tmp_path / "run"
+    status = main(["cv", "--in", str(cache_path), "--out", str(out), flag, "0"])
+    assert status == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+    # A training flag is checked before the cache is read; a model flag
+    # needs the cache's image side first.
+    assert len(read) == reads
 
 
 def test_cv_missing_cache(tmp_path, capsys) -> None:

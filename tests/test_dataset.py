@@ -200,6 +200,37 @@ def test_featurize_parallel_matches_sequential() -> None:
         assert a.label == b.label
 
 
+def test_featurize_pool_never_larger_than_corpus(monkeypatch) -> None:
+    requested: list[int] = []
+
+    class RecordingPool:
+        """Stands in for multiprocessing.Pool: records the process count
+        and runs the work inline."""
+
+        def __init__(self, processes, initializer, initargs) -> None:
+            requested.append(processes)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc) -> None:
+            pass
+
+        def map(self, fn, items, chunksize=1):
+            return [fn(item) for item in items]
+
+    monkeypatch.setattr(dataset, "_WORKER_STATE", {})
+    monkeypatch.setattr(dataset.multiprocessing, "Pool", RecordingPool)
+    molecules = [LabeledMolecule("CCO", 1), LabeledMolecule("CC", 0)]
+    examples, _ = featurize_dataset(molecules, side=20, workers=8)
+    assert requested == [2]
+    assert len(examples) == 2
+    # One molecule runs inline, with no pool at all.
+    featurize_dataset(molecules[:1], side=20, workers=8)
+    assert requested == [2]
+
+
 def test_featurize_custom_side() -> None:
     examples, _ = featurize_dataset([LabeledMolecule("CCO", 1)], side=40)
     assert examples[0].image.side == 40

@@ -611,7 +611,7 @@ def test_model_split_independent_of_slices_and_workers(monkeypatch) -> None:
     image_size = 60 * 60 * 16
     assert 7 * image_size >= model_module._SPLIT_MIN
     monkeypatch.setattr(model_module, "_workers", lambda: 1)
-    monkeypatch.setattr(model_module, "_SLICE", 7 * image_size)
+    monkeypatch.setattr(model_module, "_SPLIT_MIN", 7 * image_size)
     whole = _model_bytes(model, 7)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -619,10 +619,45 @@ def test_model_split_independent_of_slices_and_workers(monkeypatch) -> None:
         for workers in (1, 2, 3):
             for images in (1, 2, 3):
                 monkeypatch.setattr(model_module, "_workers", lambda n=workers: n)
-                monkeypatch.setattr(model_module, "_SLICE", images * image_size)
+                monkeypatch.setattr(model_module, "_SPLIT_MIN", images * image_size)
                 assert _model_bytes(model, 7) == whole, (workers, images)
     finally:
         sys.setswitchinterval(interval)
+
+
+def test_default_batch_runs_in_four_image_slices() -> None:
+    # Batch 32 of the default model (57,600 stem-output elements per
+    # image): eight contiguous slices of about 2**18 elements each.
+    assert model_module._batch_slices(32, 32 * 60 * 60 * 16) == [
+        (lo, lo + 4) for lo in range(0, 32, 4)
+    ]
+    assert model_module._batch_slices(5, 5 * 60 * 60 * 16) == [(0, 4), (4, 5)]
+
+
+def _arrays_reachable(obj) -> list[np.ndarray]:
+    """Every array in a tree of dicts, lists and tuples."""
+    if isinstance(obj, np.ndarray):
+        return [obj]
+    if isinstance(obj, dict):
+        obj = list(obj.values())
+    if isinstance(obj, (list, tuple)):
+        return [a for value in obj for a in _arrays_reachable(value)]
+    return []
+
+
+def test_backward_frees_trunk_activations() -> None:
+    # Two slices; backward leaves no trunk activation in the cache.
+    model = Model(ModelConfig(blocks_per_stage=1, filters=16, image_side=60), seed=4)
+    rng = np.random.default_rng(5)
+    _, cache = model.forward(
+        rng.random((5, 60, 60)),
+        rng.integers(0, 2, (5, model.config.fp_width)),
+        rng.integers(0, 2, (5, model.config.keys_width)),
+    )
+    assert len(cache["trunk"]) == 2
+    assert _arrays_reachable(cache["trunk"])
+    model.backward(cache, np.arange(5) % 2)
+    assert _arrays_reachable(cache["trunk"]) == []
 
 
 class CountingPool:
@@ -681,7 +716,7 @@ from molcap.nn import Model, ModelConfig
 
 model_module = importlib.import_module("molcap.nn.model")
 model_module._workers = lambda: 2
-model_module._SPLIT_MIN = model_module._SLICE = 1
+model_module._SPLIT_MIN = 1
 real_backward = model_module.conv2d_backward
 later_slice_waits = threading.Event()
 
