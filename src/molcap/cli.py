@@ -208,8 +208,8 @@ def cmd_cv(args: argparse.Namespace) -> int:
         use_fingerprint=use_fp,
         use_keys=use_maccs,
     )
-    out_dir.mkdir(parents=True, exist_ok=True)
     split = stratified_kfold(data.labels.tolist(), k=args.folds, seed=args.seed)
+    out_dir.mkdir(parents=True, exist_ok=True)
     folds = [0] if args.holdout else list(range(args.folds))
 
     per_fold_auc: list[float] = []

@@ -14,10 +14,10 @@ input, an (N, Ho, Wo, C) array that multiplies the tap's (C, F) slice of
 the filters, so every product has K = C.  A 1x1 convolution is therefore
 a single matmul with no padding.  Backward walks the same taps: dX adds
 each dY @ (F, C) product into the tap's view of a zeroed padded
-gradient, and dW sums tap-transposed-times-dY products.  A convolution
-caches only its padded input (its input, for a 1x1), never a patch
-matrix: a default-model forward pass keeps about 15 MB per example in
-float64.
+gradient, and each image's dW sums its tap-transposed-times-dY row
+products.  A convolution caches only its padded input (its input, for
+a 1x1), never a patch matrix: a default-model forward pass keeps about
+15 MB per example in float64.
 
 The matmuls run on 4-D operands, which NumPy hands to BLAS one image row
 at a time.  For the model's layer sizes each such product is below
@@ -25,10 +25,9 @@ OpenBLAS's threading threshold, so it runs on one BLAS thread and
 float64 results do not depend on the BLAS thread count.  Every kernel
 here is serial and works on whatever batch it is given; every output
 row depends on its own input row only, so a batch cut into slices gives
-the bytes of the whole batch.  The batch reductions, a convolution's dW
-and db, add rows in batch order; a caller that runs a batch in slices
-continues them slice by slice with conv2d_backward's ``prior`` (see
-:mod:`molcap.nn.model`, which splits the batch).
+the bytes of the whole batch.  A convolution's dW and db come out per
+image, so they too are the same for any slicing; the caller sums them
+over the batch (see :mod:`molcap.nn.model`, which splits the batch).
 
 Convolutions and pooling use TensorFlow-style "same" padding: the
 output side is ceil(input / stride) and any asymmetric padding puts the
@@ -131,29 +130,22 @@ def conv2d_forward(
 
 
 def conv2d_backward(
-    dy: np.ndarray, cache: tuple, prior=None
+    dy: np.ndarray, cache: tuple
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gradients of conv2d_forward: returns (dx, dw, db).
 
-    dw and db add up per-row products in batch order.  With ``prior``, a
-    callable returning the (dw, db) sums of the batch rows before this
-    batch, they continue those sums instead, with the additions of one
-    pass over all the rows.  prior is called once, after dx and every
-    per-row product are done, so it may block until those sums are ready.
-    dy's first row is borrowed for that and restored.
+    dw (N, F, C, kh, kw) and db (N, F) are each image's own gradients,
+    summed over that image's rows only; a caller sums them over the
+    batch.  Image i's dw[i] and db[i] are therefore the same bytes
+    in any batch that holds it.
     """
     padded, x_shape, padded_shape, w, stride, (oh, ow), (pbh, pbw) = cache
     n, h, width, c = x_shape
     f, _, kh, kw = w.shape
-    offsets = list(product(range(kh), range(kw)))
     taps = np.ascontiguousarray(w.transpose(2, 3, 0, 1))  # (kh, kw, F, C)
     dy_t = dy.swapaxes(2, 3)
-    dw = np.empty(w.shape, dtype=dy.dtype)
-    # Per-row dW products: one buffer summed tap after tap, or, when the
-    # sums wait for prior, one per tap.
-    dw_rows = np.empty(
-        (len(offsets) if prior else 1, n, oh, f, c), dtype=np.result_type(dy, padded)
-    )
+    dw = np.empty((n, *w.shape), dtype=dy.dtype)
+    rows = np.empty((n, oh, f, c), dtype=np.result_type(dy, padded))  # per-row dW
     one_tap = kh == kw == stride == 1  # one tap covers the unpadded input
     if one_tap:
         dx = np.matmul(dy, taps[0, 0])
@@ -161,35 +153,13 @@ def conv2d_backward(
         dpadded = np.zeros(padded_shape, dtype=dy.dtype)
         part = np.empty((n, oh, ow, c), dtype=dy.dtype)
         dx = dpadded[:, pbh : pbh + h, pbw : pbw + width]
-    for t, (i, j) in enumerate(offsets):
-        rows = dw_rows[t if prior else 0]
+    for i, j in product(range(kh), range(kw)):
         np.matmul(dy_t, _tap(padded, i, j, stride, oh, ow), out=rows)
+        dw[..., i, j] = rows.sum(axis=1)
         if not one_tap:
             window = _tap(dpadded, i, j, stride, oh, ow)
             window += np.matmul(dy, taps[i, j], out=part)
-        if prior is None:
-            dw[:, :, i, j] = rows.sum(axis=(0, 1))
-    if prior is None:
-        return dx, dw, dy.sum(axis=(0, 1, 2))
-    dw_before, db_before = prior()
-    k = len(offsets)
-    dw_taps = _continue_sum(
-        dw_before.transpose(2, 3, 0, 1).reshape(k, f * c), dw_rows.reshape(k, -1, f * c)
-    )
-    dw[...] = dw_taps.reshape(kh, kw, f, c).transpose(2, 3, 0, 1)
-    return dx, dw, _continue_sum(db_before[None], dy.reshape(1, -1, f))[0]
-
-
-def _continue_sum(before: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """before + rows.sum(axis=1) for rows (K, R, M), with the additions of
-    one in-order sum over the rows that made before and then these rows:
-    NumPy adds rows in order, so row 0 briefly holds before + row 0."""
-    first = rows[:, 0]
-    saved = first.copy()
-    first += before
-    total = rows.sum(axis=1)
-    first[...] = saved
-    return total
+    return dx, dw, dy.sum(axis=(1, 2))
 
 
 # --------------------------------------------------------------------------

@@ -21,17 +21,15 @@ runs on contiguous slices of the batch, which the calling thread and a
 process-wide thread pool, one thread per further usable CPU, take in
 ascending order (NumPy releases the GIL inside the matmuls and ufuncs).
 Four-image slices (see ``_SPLIT_MIN``) beat one-image ones: fewer GIL
-hand-offs between short NumPy calls, fewer waits for dW and db sums.
-Backward frees each unit's forward cache once it is used.  The caption
-branches and the head run on the whole batch in the calling thread,
-after the trunk in forward and before it in backward.  Every image's
-activations depend on that image alone, so they come out the same for
-any slicing.  A convolution's dW and db add per-row products over the
-whole batch; slice k continues the sums slice k-1 left, so the sums
-make the additions of one pass over the batch, in batch order, and
-float64 results are byte for byte the same for any slicing and any
-number of CPUs.  Slice k waits for slice k-1 only at those additions,
-once its dX and per-row products are done.  A batch whose stem output
+hand-offs between short NumPy calls.  Backward frees each unit's forward
+cache once it is used.  The caption branches and the head run on the
+whole batch in the calling thread, after the trunk in forward and before
+it in backward.  Every image's activations, and every image's own dW and
+db of each convolution, depend on that image alone, so they come out the
+same for any slicing.  No slice waits for another: once every slice is
+done, the calling thread sums each convolution's per-image dW and db
+over the batch, in image order, so float64 results are byte for byte the
+same for any slicing and any number of CPUs.  A batch whose stem output
 has fewer than 2**18 elements, such as the desk model's at batch 32,
 runs as one slice in the calling thread.
 """
@@ -41,10 +39,8 @@ from __future__ import annotations
 import json
 import math
 import os
-import threading
 from collections import deque
 from dataclasses import asdict, dataclass
-from functools import partial
 from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -114,14 +110,13 @@ def _batch_slices(n: int, size: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + step, n)) for lo in range(0, n, step)]
 
 
-def _run_slices(fn, count: int, abort=None) -> None:
+def _run_slices(fn, count: int) -> None:
     """Call fn(k) for every slice k in range(count).
 
     The calling thread and one pool worker per further CPU take slices
-    in ascending order until none is left, so the lowest unfinished
-    slice is always running.  Once a call raises, no thread takes a
-    further slice, abort() releases any slice waiting on the failed one,
-    and the first error is raised when every thread has stopped.
+    in ascending order until none is left.  Once a call raises, no
+    thread takes a further slice, and the first error is raised when
+    every thread has stopped.
     """
     workers = min(_workers(), count)
     if workers < 2:
@@ -141,8 +136,6 @@ def _run_slices(fn, count: int, abort=None) -> None:
                 fn(k)
             except BaseException as exc:  # raised again by the caller below
                 errors.append(exc)
-                if abort is not None:
-                    abort()
 
     pool = _executor()
     futures = [pool.submit(drain) for _ in range(workers - 1)]
@@ -153,59 +146,6 @@ def _run_slices(fn, count: int, abort=None) -> None:
             future.result()
     if errors:
         raise errors[0]
-
-
-class _Aborted(Exception):
-    """A slice waited for sums that a failed slice will never add."""
-
-
-class _ConvSums:
-    """Every convolution's dW and db, summed over the batch slice by slice.
-
-    Slice k continues the sums slices 0..k-1 left (conv2d_backward's
-    ``prior``), so each sum makes the additions of one pass over the
-    whole batch, in batch order.  abort() releases every waiting slice.
-    """
-
-    def __init__(self) -> None:
-        # conv name -> (slices summed, dW, db); filled in slice 0's order.
-        self._sums: dict[str, tuple[int, np.ndarray, np.ndarray]] = {}
-        self._changed = threading.Condition()
-        self._aborted = False
-
-    def conv_backward(self, k: int):
-        """conv2d_backward for slice k: returns dX and adds dW and db in turn."""
-
-        def backward(name: str, dy: np.ndarray, conv_cache: tuple) -> np.ndarray:
-            prior = None if k == 0 else partial(self._before, name, k)
-            dx, dw, db = conv2d_backward(dy, conv_cache, prior)
-            with self._changed:
-                self._sums[name] = (k + 1, dw, db)
-                self._changed.notify_all()
-            return dx
-
-        return backward
-
-    def _before(self, name: str, k: int) -> tuple[np.ndarray, np.ndarray]:
-        with self._changed:
-            self._changed.wait_for(
-                lambda: self._aborted or self._sums.get(name, (0,))[0] == k
-            )
-            if self._aborted:
-                raise _Aborted(name)
-            return self._sums[name][1:]
-
-    def abort(self) -> None:
-        with self._changed:
-            self._aborted = True
-            self._changed.notify_all()
-
-    def grads(self) -> dict[str, np.ndarray]:
-        grads = {}
-        for name, (_, dw, db) in self._sums.items():
-            grads[f"{name}.w"] = dw
-            grads[f"{name}.b"] = db
-        return grads
 
 
 @dataclass(frozen=True)
@@ -368,17 +308,22 @@ class Model:
         return out, cache
 
     @staticmethod
-    def _unit_backward(unit: _Unit, dy, cache: dict, conv_backward) -> np.ndarray:
+    def _conv_backward(name: str, dy, conv_cache: tuple, grads: dict) -> np.ndarray:
+        dx, grads[f"{name}.w"], grads[f"{name}.b"] = conv2d_backward(dy, conv_cache)
+        return dx
+
+    @classmethod
+    def _unit_backward(cls, unit: _Unit, dy, cache: dict, grads: dict) -> np.ndarray:
         # dx adds the residual's, each branch's and the pool's gradient,
         # in that order, each as soon as it is known.
         dx = None
         if unit.proj:
             dx = relu_backward(dy, cache["mask"])
-            dy = conv_backward(f"{unit.name}.proj", dx, cache["proj"])
+            dy = cls._conv_backward(f"{unit.name}.proj", dx, cache["proj"], grads)
         parts = concat_backward(dy, cache["widths"]) if "widths" in cache else [dy]
         for part, branch, steps in zip(parts, unit.branches, cache["branches"]):
             for (name, *_), (conv_cache, mask) in zip(reversed(branch), reversed(steps)):
-                part = conv_backward(name, relu_backward(part, mask), conv_cache)
+                part = cls._conv_backward(name, relu_backward(part, mask), conv_cache, grads)
             if dx is None:
                 dx = part
             else:
@@ -396,11 +341,14 @@ class Model:
         features, gap_cache = global_avg_pool_forward(x)
         return features, (caches, gap_cache)
 
-    def _trunk_backward(self, dfeatures: np.ndarray, cache: tuple, conv_backward) -> None:
+    def _trunk_backward(self, dfeatures: np.ndarray, cache: tuple) -> dict:
+        """Per-image dW and db of every convolution, in backward order."""
         caches, gap_cache = cache
+        grads: dict[str, np.ndarray] = {}
         dx = global_avg_pool_backward(dfeatures, gap_cache)
         for unit in reversed(self._plan):
-            dx = self._unit_backward(unit, dx, caches.pop(), conv_backward)
+            dx = self._unit_backward(unit, dx, caches.pop(), grads)
+        return grads
 
     def forward(
         self,
@@ -493,9 +441,14 @@ class Model:
     def backward(self, cache: dict, labels: np.ndarray) -> tuple[float, dict]:
         """Mean-BCE loss and its gradient for every parameter.
 
+        The trunk slices back-propagate independently and return each
+        image's convolution gradients; the calling thread then sums
+        those over the batch, in image order.
+
         Args:
-            cache: Second return value of :func:`forward`; its trunk part
-                is consumed, each unit's activations freed once used.
+            cache: Second return value of :func:`forward`.  Backward
+                consumes its trunk part, freeing each unit's activations
+                once used, so it runs once per forward.
             labels: Binary targets, one per batch row.
 
         Returns:
@@ -529,17 +482,17 @@ class Model:
             grads["keys0.w"] = dw
             grads["keys0.b"] = db
 
-        sums = _ConvSums()
         slices = cache["slices"]
+        per_image: list = [None] * len(slices)
 
         def run(k: int) -> None:
             lo, hi = slices[k]
-            self._trunk_backward(
-                dfeatures[lo:hi], cache["trunk"][k], sums.conv_backward(k)
-            )
+            per_image[k] = self._trunk_backward(dfeatures[lo:hi], cache["trunk"][k])
 
-        _run_slices(run, len(slices), sums.abort)
-        grads.update(sums.grads())
+        _run_slices(run, len(slices))
+        # Sums over the whole batch, one image after another.
+        for name in list(per_image[0]):
+            grads[name] = np.concatenate([g.pop(name) for g in per_image]).sum(axis=0)
         return loss, grads
 
     def loss_and_gradients(

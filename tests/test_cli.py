@@ -408,6 +408,19 @@ def test_cv_rejects_bad_flags_before_making_the_run_directory(
     assert len(read) == reads
 
 
+def test_cv_unfillable_folds_leave_no_run_directory(tmp_path, capsys) -> None:
+    csv_path = tmp_path / "few.csv"
+    csv_path.write_text("smiles,active\nCCO,1\nCC,0\nCCC,0\nCN,0\n")
+    cache = tmp_path / "few.cache"
+    featurize = ["featurize", "--in", str(csv_path), "--out", str(cache)]
+    assert main([*featurize, "--image-side", "20", "--label-col", "active"]) == 0
+    capsys.readouterr()
+    out = tmp_path / "run"
+    assert main(["cv", "--in", str(cache), "--out", str(out), "--folds", "2"]) == 2
+    assert "1 positive examples cannot fill 2 folds" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cv_missing_cache(tmp_path, capsys) -> None:
     status = main(
         ["cv", "--in", str(tmp_path / "no.cache"), "--out", str(tmp_path / "run")]
