@@ -415,7 +415,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="train once on the first fold's 80/20 split instead of all folds",
     )
     cv.add_argument(
-        "--fast32", action="store_true", help="32-bit parameters (faster, not bit-reproducible)"
+        "--fast32",
+        action="store_true",
+        help="32-bit parameters (faster; same-seed runs on one machine and build "
+        "write the same bytes, for any batch slicing)",
     )
     cv.set_defaults(func=cmd_cv)
 

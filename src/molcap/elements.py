@@ -57,9 +57,3 @@ DEFAULT_VALENCES: dict[int, tuple[int, ...]] = {
     SYMBOL_TO_Z["Br"]: (1,),
     SYMBOL_TO_Z["I"]: (1,),
 }
-
-
-def max_valence(element: int) -> int | None:
-    """Largest standard valence, or None for elements without a rule."""
-    valences = DEFAULT_VALENCES.get(element)
-    return valences[-1] if valences else None

@@ -131,7 +131,11 @@ def layout_2d(graph: MolecularGraph) -> Layout2D:
             if neighbor not in in_component or neighbor in seen:
                 continue
             if neighbor not in placed:
-                _place_chain_atom(graph, neighbor, current, positions, placed)
+                direction = _open_direction(graph, current, positions, placed)
+                positions[neighbor] = positions[current] + np.array(
+                    [math.cos(direction), math.sin(direction)]
+                )
+                placed.add(neighbor)
                 system = system_of.get(neighbor)
                 if system is not None and system not in placed_systems:
                     place_ring_system(system, neighbor)
@@ -184,14 +188,10 @@ def _ring_order(rings: list[list[int]], entry: int) -> list[list[int]]:
     ordered = [pending.pop(0)]
     covered = set(ordered[0])
     while pending:
-        for i, ring in enumerate(pending):
-            if covered & set(ring):
-                ordered.append(pending.pop(i))
-                covered |= set(ring)
-                break
-        else:  # disconnected within system cannot happen, but stay safe
-            ordered.append(pending.pop(0))
-            covered |= set(ordered[-1])
+        ordered.append(
+            pending.pop(next(i for i, r in enumerate(pending) if covered.intersection(r)))
+        )
+        covered.update(ordered[-1])
     return ordered
 
 
@@ -215,46 +215,32 @@ def _ordered_cycle(graph: MolecularGraph, ring: list[int]) -> list[int]:
     return cycle
 
 
-def _polygon_positions(
-    n: int, center: np.ndarray, start_angle: float, step: float
-) -> list[np.ndarray]:
-    radius = 1.0 / (2.0 * math.sin(math.pi / n))
-    return [
-        center
-        + radius * np.array([math.cos(start_angle + k * step), math.sin(start_angle + k * step)])
-        for k in range(n)
-    ]
-
-
 def _place_ring(
     graph: MolecularGraph,
     cycle: list[int],
     positions: np.ndarray,
     placed: set[int],
 ) -> None:
+    """Place the unplaced atoms of ``cycle`` on a regular unit-sided polygon.
+
+    Three cases choose where the polygon goes; one walk then places its
+    atoms around it, starting at cycle index ``k``:
+
+    - fused (two cycle-adjacent atoms placed): reflected across the first
+      placed edge, to the side away from the atoms placed around it;
+    - spiro or bridged (atoms placed, none adjacent): hung off the first
+      placed atom, pointing into its widest free gap;
+    - first ring of the molecule (nothing placed): centred on the origin
+      with its first atom straight up.
+    """
     n = len(cycle)
+    radius = 1.0 / (2.0 * math.sin(math.pi / n))
     step = 2.0 * math.pi / n
-    ring_placed = [a for a in cycle if a in placed]
-
-    if not ring_placed:
-        # Only the very first ring of the molecule lands here.
-        for atom, pos in zip(
-            cycle, _polygon_positions(n, np.zeros(2), math.pi / 2.0, step)
-        ):
-            positions[atom] = pos
-            placed.add(atom)
-        return
-
-    # Fused: find a placed adjacent pair in the cycle and reflect the new
-    # polygon to the far side of that edge.
-    edge = None
-    for k in range(n):
+    on = [atom in placed for atom in cycle]
+    edges = [k for k in range(n) if on[k] and on[(k + 1) % n]]
+    if edges:
+        k = edges[0]
         a, b = cycle[k], cycle[(k + 1) % n]
-        if a in placed and b in placed:
-            edge = (k, a, b)
-            break
-    if edge is not None:
-        k, a, b = edge
         pa, pb = positions[a], positions[b]
         mid = (pa + pb) / 2.0
         edge_vec = pb - pa
@@ -264,7 +250,6 @@ def _place_ring(
             normal = np.array([0.0, 1.0])
             norm_len = 1.0
         normal = normal / norm_len
-        # Pick the side away from atoms already placed around the edge.
         reference = _local_centroid(graph, (a, b), positions, placed)
         apothem = 1.0 / (2.0 * math.tan(math.pi / n))
         center = mid + apothem * normal
@@ -273,37 +258,19 @@ def _place_ring(
         start = math.atan2(pa[1] - center[1], pa[0] - center[0])
         to_b = math.atan2(pb[1] - center[1], pb[0] - center[0])
         forward = (to_b - start) % (2.0 * math.pi)
-        signed_step = step if abs(forward - step) < 1e-6 else -step
-        ordered = cycle[k:] + cycle[:k]
-        for offset, atom in enumerate(ordered):
-            if atom not in placed:
-                angle = start + offset * signed_step
-                radius = 1.0 / (2.0 * math.sin(math.pi / n))
-                positions[atom] = center + radius * np.array(
-                    [math.cos(angle), math.sin(angle)]
-                )
-                placed.add(atom)
-        return
-
-    # Spiro or bridged without a placed edge: anchor the polygon at the
-    # first placed atom and point it into open space.
-    anchor_atom = ring_placed[0]
-    k = cycle.index(anchor_atom)
-    direction = _open_direction(graph, anchor_atom, positions, placed)
-    radius = 1.0 / (2.0 * math.sin(math.pi / n))
-    center = positions[anchor_atom] + radius * np.array(
-        [math.cos(direction), math.sin(direction)]
-    )
-    start = math.atan2(
-        positions[anchor_atom][1] - center[1], positions[anchor_atom][0] - center[0]
-    )
-    ordered = cycle[k:] + cycle[:k]
-    for offset, atom in enumerate(ordered):
+        step = step if abs(forward - step) < 1e-6 else -step
+    elif any(on):
+        k = on.index(True)
+        anchor = positions[cycle[k]]
+        direction = _open_direction(graph, cycle[k], positions, placed)
+        center = anchor + radius * np.array([math.cos(direction), math.sin(direction)])
+        start = math.atan2(anchor[1] - center[1], anchor[0] - center[0])
+    else:
+        k, center, start = 0, np.zeros(2), math.pi / 2.0
+    for offset, atom in enumerate(cycle[k:] + cycle[:k]):
         if atom not in placed:
             angle = start + offset * step
-            positions[atom] = center + radius * np.array(
-                [math.cos(angle), math.sin(angle)]
-            )
+            positions[atom] = center + radius * np.array([math.cos(angle), math.sin(angle)])
             placed.add(atom)
 
 
@@ -346,20 +313,6 @@ def _open_direction(
             best_gap = gap
             best_angle = angle + gap / 2.0
     return best_angle
-
-
-def _place_chain_atom(
-    graph: MolecularGraph,
-    atom: int,
-    parent: int,
-    positions: np.ndarray,
-    placed: set[int],
-) -> None:
-    direction = _open_direction(graph, parent, positions, placed)
-    positions[atom] = positions[parent] + np.array(
-        [math.cos(direction), math.sin(direction)]
-    )
-    placed.add(atom)
 
 
 def _placed_bonds(

@@ -184,25 +184,16 @@ def train(
             raise NonFiniteLossError(epoch, history)
         return auc_roc(scores.tolist(), val_labels)
 
-    if config.max_epochs == 0:
-        started = time.perf_counter()
-        loss = _mean_loss(model, data, pool, config.batch_size)
-        auc = validation_auc(0)
-        history.append(
-            EpochRecord(0, loss, auc, state.current_lr, time.perf_counter() - started)
-        )
-        return TrainResult(
-            state=state,
-            history=history,
-            best_parameters={k: v.copy() for k, v in model.params.items()},
-            best_val_auc=auc,
-            best_epoch=0,
-            train_pool=tuple(pool),
-        )
-
     best_auc = -math.inf
     best_epoch = 0
     best_parameters = {k: v.copy() for k, v in model.params.items()}
+    if config.max_epochs == 0:
+        started = time.perf_counter()
+        loss = _mean_loss(model, data, pool, config.batch_size)
+        best_auc = validation_auc(0)
+        history.append(
+            EpochRecord(0, loss, best_auc, state.current_lr, time.perf_counter() - started)
+        )
     for epoch in range(1, config.max_epochs + 1):
         started = time.perf_counter()
         order = rng.permutation(len(pool))

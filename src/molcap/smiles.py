@@ -120,9 +120,6 @@ class Bond:
     order: BondOrder
     in_ring: bool = False
 
-    def other(self, index: int) -> int:
-        return self.b if index == self.a else self.a
-
 
 @dataclass
 class MolecularGraph:

@@ -347,6 +347,17 @@ def test_cv_fast32_mode(cache_path, tmp_path) -> None:
     assert manifest["config"]["dtype"] == "float32"
 
 
+def test_cv_fast32_byte_identical_across_runs(cache_path, tmp_path) -> None:
+    first, second = tmp_path / "run1", tmp_path / "run2"
+    assert run_cv(cache_path, first, "--fast32") == 0
+    assert run_cv(cache_path, second, "--fast32") == 0
+    names = ["metrics.json"] + [
+        f"fold{fold}/{name}" for fold in (0, 1) for name in ("roc.csv", "model.ckpt")
+    ]
+    for name in names:
+        assert (first / name).read_bytes() == (second / name).read_bytes(), name
+
+
 def test_cv_scores_folds_at_training_batch(cache_path, tmp_path, monkeypatch) -> None:
     real_predict = cli.predict_scores
     batch_sizes = []

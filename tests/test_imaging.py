@@ -8,6 +8,7 @@ earlier per-bond loop, which it must reproduce byte for byte.
 
 from __future__ import annotations
 
+import hashlib
 import math
 import random
 
@@ -253,6 +254,35 @@ def test_relax_matches_reference_loop_byte_for_byte(monkeypatch) -> None:
     assert positions == expected_positions
 
 
+# Failures and SHA-256 over the 500 seeded ring-rich molecules, recorded
+# at the commit before the ring placer became one polygon walk.
+PINNED_RING_RICH_FAILURES = 130
+PINNED_RING_RICH_SHA256 = "94573c6781c76e3675f3d56257ef735c8583391232316cb7dd8566f10729a7ca"
+
+
+def test_ring_rich_layout_and_raster_bytes_match_pinned_digest() -> None:
+    # Per molecule: b"F" for a layout failure, else the position bytes
+    # followed by the 60 px raster bytes, or b"D" when it does not fit.
+    rng = random.Random(0)
+    digest = hashlib.sha256()
+    failures = 0
+    for _ in range(500):
+        graph = parse_smiles(random_smiles(rng, max_atoms=25, ring_bias=0.7))
+        try:
+            layout = layout_2d(graph)
+        except LayoutFailureError:
+            failures += 1
+            digest.update(b"F")
+            continue
+        digest.update(layout.positions.tobytes())
+        try:
+            digest.update(rasterize(graph, layout).pixels.tobytes())
+        except DoesNotFitError:
+            digest.update(b"D")
+    assert failures == PINNED_RING_RICH_FAILURES
+    assert digest.hexdigest() == PINNED_RING_RICH_SHA256
+
+
 # --------------------------------------------------------------------------
 # Rasterization
 
@@ -407,6 +437,13 @@ def test_disconnected_fragment_not_drawn() -> None:
     assert np.isclose(image.pixels, 103.0 / 80.0).sum() == 0
     assert np.isclose(image.pixels, 1.0).sum() == 0
     assert np.isclose(image.pixels, 6.0 / 80.0).sum() == 4
+
+
+def test_only_largest_component_bonds_drawn() -> None:
+    # The two-carbon fragment has a bond, so its bond pixels would show.
+    alone = render_molecule(parse_smiles("CCO")).pixels.tobytes()
+    assert render_molecule(parse_smiles("CC.CCO")).pixels.tobytes() == alone
+    assert render_molecule(parse_smiles("CCO.CC")).pixels.tobytes() == alone
 
 
 def test_write_pgm(tmp_path) -> None:

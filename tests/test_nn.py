@@ -674,6 +674,27 @@ def test_model_split_independent_of_slices_and_workers(monkeypatch) -> None:
         sys.setswitchinterval(interval)
 
 
+def test_float32_model_split_independent_of_slices_and_workers(monkeypatch) -> None:
+    # The slice and worker sweep above, on a float32 (--fast32) model.
+    model = Model(
+        ModelConfig(blocks_per_stage=1, filters=16, image_side=60), seed=23, dtype=np.float32
+    )
+    image_size = 60 * 60 * 16
+    monkeypatch.setattr(model_module, "_workers", lambda: 1)
+    monkeypatch.setattr(model_module, "_SPLIT_MIN", 7 * image_size)
+    whole = _model_bytes(model, 7)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for workers in (1, 2, 3):
+            for images in (1, 2, 3):
+                monkeypatch.setattr(model_module, "_workers", lambda n=workers: n)
+                monkeypatch.setattr(model_module, "_SPLIT_MIN", images * image_size)
+                assert _model_bytes(model, 7) == whole, (workers, images)
+    finally:
+        sys.setswitchinterval(interval)
+
+
 def test_default_batch_runs_in_four_image_slices() -> None:
     # Batch 32 of the default model (57,600 stem-output elements per
     # image): eight contiguous slices of about 2**18 elements each.
