@@ -23,7 +23,6 @@ import numpy as np
 
 from .dataset import (
     FEATURIZER_VERSION,
-    CachedDataset,
     check_image_side,
     featurize_dataset,
     corpus_digest,
@@ -41,7 +40,6 @@ from .nn import (
     Model,
     ModelConfig,
     TrainConfig,
-    predict_scores,
     save_checkpoint,
     train,
     write_history_csv,
@@ -151,33 +149,6 @@ def _combo_name(use_fp: bool, use_maccs: bool) -> str:
     return "+".join(parts)
 
 
-def _run_fold(
-    data: CachedDataset,
-    model_config: ModelConfig,
-    train_config: TrainConfig,
-    args: argparse.Namespace,
-    fold: int,
-    train_idx: list[int],
-    val_idx: list[int],
-    fold_dir: Path,
-) -> float:
-    fold_dir.mkdir(parents=True, exist_ok=True)
-    dtype = np.float32 if args.fast32 else np.float64
-    model = Model(model_config, seed=args.seed + fold, dtype=dtype)
-    config = replace(train_config, seed=args.seed + fold)
-    result = train(model, data, train_idx, val_idx, config)
-    write_history_csv(result.history, fold_dir / "history.csv")
-
-    model.params = {k: v.copy() for k, v in result.best_parameters.items()}
-    save_checkpoint(fold_dir / "model.ckpt", model)
-    # Score at the training batch, as validation did: a larger batch keeps
-    # proportionally more float64 forward cache alive.
-    scores = predict_scores(model, data, val_idx, batch_size=args.batch)
-    curve = roc_points(scores.tolist(), data.labels[val_idx].tolist())
-    write_roc_csv(curve, fold_dir / "roc.csv")
-    return result.best_val_auc
-
-
 def cmd_cv(args: argparse.Namespace) -> int:
     if args.folds < 2:
         raise ConfigError("--folds must be at least 2")
@@ -211,6 +182,7 @@ def cmd_cv(args: argparse.Namespace) -> int:
     split = stratified_kfold(data.labels.tolist(), k=args.folds, seed=args.seed)
     out_dir.mkdir(parents=True, exist_ok=True)
     folds = [0] if args.holdout else list(range(args.folds))
+    dtype = np.float32 if args.fast32 else np.float64
 
     per_fold_auc: list[float] = []
     fold_seconds: list[float] = []
@@ -219,19 +191,21 @@ def cmd_cv(args: argparse.Namespace) -> int:
     # still leaves every completed fold on disk.
     for fold in folds:
         fold_started = time.perf_counter()
-        auc = _run_fold(
-            data,
-            model_config,
-            train_config,
-            args,
-            fold,
-            split.train_indices(fold),
-            list(split.folds[fold]),
-            out_dir / f"fold{fold}",
-        )
-        per_fold_auc.append(auc)
+        fold_dir = out_dir / f"fold{fold}"
+        fold_dir.mkdir(parents=True, exist_ok=True)
+        val_idx = list(split.folds[fold])
+        model = Model(model_config, seed=args.seed + fold, dtype=dtype)
+        config = replace(train_config, seed=args.seed + fold)
+        result = train(model, data, split.train_indices(fold), val_idx, config)
+        write_history_csv(result.history, fold_dir / "history.csv")
+        model.params = result.best_parameters
+        save_checkpoint(fold_dir / "model.ckpt", model)
+        # The best epoch's validation scores, computed by train at --batch.
+        curve = roc_points(result.best_val_scores.tolist(), data.labels[val_idx].tolist())
+        write_roc_csv(curve, fold_dir / "roc.csv")
+        per_fold_auc.append(result.best_val_auc)
         fold_seconds.append(time.perf_counter() - fold_started)
-        outputs.append(str(out_dir / f"fold{fold}"))
+        outputs.append(str(fold_dir))
 
     summary = aggregate_folds(per_fold_auc)
     metrics_path = out_dir / "metrics.json"
@@ -399,13 +373,13 @@ def build_parser() -> argparse.ArgumentParser:
     cv.add_argument("--out", required=True)
     cv.add_argument("--folds", type=int, default=5)
     cv.add_argument("--seed", type=int, default=0)
-    cv.add_argument("--lr", type=float, default=0.001)
-    cv.add_argument("--batch", type=int, default=32)
-    cv.add_argument("--patience", type=int, default=5)
-    cv.add_argument("--lr-factor", type=float, default=0.5)
-    cv.add_argument("--blocks", type=int, default=3)
-    cv.add_argument("--filters", type=int, default=16)
-    cv.add_argument("--max-epochs", type=int, default=30)
+    cv.add_argument("--lr", type=float, default=TrainConfig.learning_rate)
+    cv.add_argument("--batch", type=int, default=TrainConfig.batch_size)
+    cv.add_argument("--patience", type=int, default=TrainConfig.patience)
+    cv.add_argument("--lr-factor", type=float, default=TrainConfig.lr_factor)
+    cv.add_argument("--blocks", type=int, default=ModelConfig.blocks_per_stage)
+    cv.add_argument("--filters", type=int, default=ModelConfig.filters)
+    cv.add_argument("--max-epochs", type=int, default=TrainConfig.max_epochs)
     cv.add_argument("--use-image", action="store_true")
     cv.add_argument("--use-fp", action="store_true")
     cv.add_argument("--use-maccs", action="store_true")
@@ -418,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--fast32",
         action="store_true",
         help="32-bit parameters (faster; same-seed runs on one machine and build "
-        "write the same bytes, for any batch slicing)",
+        "write the same bytes, for any batch slicing and one or two BLAS threads)",
     )
     cv.set_defaults(func=cmd_cv)
 

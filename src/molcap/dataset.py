@@ -39,7 +39,7 @@ from .errors import (
     SmilesError,
     TooFewExamplesError,
 )
-from .fingerprints import Fingerprint, morgan_fingerprint
+from .fingerprints import Fingerprint, check_fingerprint_width, morgan_fingerprint
 from .imaging import ChemImage, layout_2d, rasterize
 from .maccs import N_KEYS, KeyDefinition, KeyVector, evaluate_keys, load_key_definitions
 from .smiles import parse_smiles
@@ -274,12 +274,14 @@ def featurize_dataset(
         report entry (input index, smiles, reason) per exclusion.
 
     Raises:
-        ConfigError: A side or width the cache cannot record, a negative
-            radius or no worker; raised before any molecule is processed.
+        ConfigError: A side the cache cannot record, a width that is not
+            a power of two from 8 to 32768, a negative radius or no
+            worker; raised before any molecule is processed.
     """
     check_image_side(side)
     if radius < 0:
         raise ConfigError(f"fingerprint radius must be at least 0, got {radius}")
+    check_fingerprint_width(nbits)
     if nbits > _MAX_FP_BITS:
         raise ConfigError(f"fingerprint width must be at most {_MAX_FP_BITS}, got {nbits}")
     if workers < 1:
@@ -451,6 +453,33 @@ def _record_dtype(side: int, nbits: int, n_keys: int) -> np.dtype:
     )
 
 
+def _pack_records(examples: Sequence[CaptionedExample]) -> np.ndarray:
+    """The cache records of non-empty examples, one per example."""
+    side = examples[0].image.side
+    nbits = examples[0].fingerprint.nbits
+    if any(e.image.side != side or e.fingerprint.nbits != nbits for e in examples):
+        raise CacheError("examples disagree on image or fingerprint size")
+    records = np.empty(len(examples), dtype=_record_dtype(side, nbits, N_KEYS))
+    records["label"] = [e.label for e in examples]
+    np.stack([e.image.pixels for e in examples], out=records["image"])
+    records["fingerprint"] = [np.frombuffer(e.fingerprint.data, np.uint8) for e in examples]
+    records["keys"] = np.packbits([e.keys.to_array() for e in examples], axis=1)
+    return records
+
+
+def _unpack_records(records: np.ndarray, n_keys: int, corpus_hash: str) -> CachedDataset:
+    """Training-ready arrays from cache records; none is a view of them."""
+    return CachedDataset(
+        images=records["image"].astype(np.float32),
+        fingerprints=np.unpackbits(records["fingerprint"], axis=1),
+        keys=np.unpackbits(records["keys"], axis=1, count=n_keys),
+        labels=records["label"].copy(),
+        corpus_hash=corpus_hash,
+        featurizer_version=FEATURIZER_VERSION,
+        side=records["image"].shape[1],
+    )
+
+
 def write_cache(
     path: str | Path, examples: Sequence[CaptionedExample], corpus_hash: str
 ) -> None:
@@ -467,22 +496,14 @@ def write_cache(
     """
     if not examples:
         raise CacheError("refusing to write an empty cache")
-    side = examples[0].image.side
-    nbits = examples[0].fingerprint.nbits
-    if any(e.image.side != side or e.fingerprint.nbits != nbits for e in examples):
-        raise CacheError("examples disagree on image or fingerprint size")
-    records = np.empty(len(examples), dtype=_record_dtype(side, nbits, N_KEYS))
-    records["label"] = [e.label for e in examples]
-    np.stack([e.image.pixels for e in examples], out=records["image"])
-    records["fingerprint"] = [np.frombuffer(e.fingerprint.data, np.uint8) for e in examples]
-    records["keys"] = np.packbits([e.keys.to_array() for e in examples], axis=1)
+    records = _pack_records(examples)
     header = _HEADER.pack(
         _CACHE_MAGIC,
         _CACHE_VERSION,
         FEATURIZER_VERSION,
         len(examples),
-        side,
-        nbits,
+        examples[0].image.side,
+        examples[0].fingerprint.nbits,
         N_KEYS,
         bytes.fromhex(corpus_hash),
     )
@@ -533,30 +554,13 @@ def read_cache(
             f"{path}: expected {count * dtype.itemsize} record bytes, found {body}"
         )
     records = np.frombuffer(raw, dtype=dtype, count=count, offset=_HEADER.size)
-    return CachedDataset(
-        images=records["image"].astype(np.float32),
-        fingerprints=np.unpackbits(records["fingerprint"], axis=1),
-        keys=np.unpackbits(records["keys"], axis=1, count=n_keys),
-        labels=records["label"].copy(),
-        corpus_hash=corpus_hash,
-        featurizer_version=feat_version,
-        side=side,
-    )
+    return _unpack_records(records, n_keys, corpus_hash)
 
 
 def arrays_from_examples(
     examples: Sequence[CaptionedExample], corpus_hash: str = ""
 ) -> CachedDataset:
-    """Stack in-memory examples into the same arrays read_cache yields."""
+    """The arrays read_cache would yield for a cache of these examples."""
     if not examples:
         raise CacheError("no examples to stack")
-    side = examples[0].image.side
-    return CachedDataset(
-        images=np.stack([e.image.pixels for e in examples]).astype(np.float32),
-        fingerprints=np.stack([e.fingerprint.to_array() for e in examples]),
-        keys=np.stack([e.keys.to_array() for e in examples]),
-        labels=np.array([e.label for e in examples], dtype=np.uint8),
-        corpus_hash=corpus_hash,
-        featurizer_version=FEATURIZER_VERSION,
-        side=side,
-    )
+    return _unpack_records(_pack_records(examples), N_KEYS, corpus_hash)

@@ -42,6 +42,7 @@ __all__ = [
     "fnv1a_64",
     "initial_invariants",
     "morgan_iterate",
+    "check_fingerprint_width",
     "fold_to_bits",
     "morgan_fingerprint",
 ]
@@ -176,6 +177,14 @@ def morgan_iterate(graph: MolecularGraph, radius: int) -> list[AtomEnvironment]:
     return retained
 
 
+def check_fingerprint_width(nbits: int) -> None:
+    """Raise ConfigError unless ``nbits`` is a power of two of at least 8."""
+    if nbits < 8 or nbits & (nbits - 1):
+        raise ConfigError(
+            f"fingerprint width must be a power of two of at least 8, got {nbits}"
+        )
+
+
 def fold_to_bits(
     envs: list[AtomEnvironment], nbits: int, radius: int | None = None
 ) -> Fingerprint:
@@ -193,10 +202,7 @@ def fold_to_bits(
     Raises:
         ConfigError: Width not a power of two of at least 8.
     """
-    if nbits < 8 or nbits & (nbits - 1):
-        raise ConfigError(
-            f"fingerprint width must be a power of two of at least 8, got {nbits}"
-        )
+    check_fingerprint_width(nbits)
     if radius is None:
         radius = max((env.radius for env in envs), default=0)
     buffer = bytearray(nbits // 8)

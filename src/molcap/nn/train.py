@@ -2,11 +2,12 @@
 
 Each epoch shuffles the upsampled training indices with the run seed,
 walks them in fixed-size batches (augmenting every image draw-by-draw
-from the same generator, so runs are reproducible), and ends with a
-validation AUC that drives both best-parameter tracking and the plateau
-learning-rate schedule.  Wall-clock seconds are recorded per epoch but
-carry no semantic weight; every numeric column of the history is a pure
-function of (seed, data, config) in 64-bit mode.
+from the same generator, so runs are reproducible), and ends with one
+validation pass.  Its AUC drives the plateau learning-rate schedule and
+picks the best epoch, whose parameters and scores the result keeps.
+Wall-clock seconds are recorded per epoch but carry no semantic weight;
+every numeric column of the history is a pure function of (seed, data,
+config) in 64-bit mode.
 """
 
 from __future__ import annotations
@@ -82,13 +83,19 @@ class EpochRecord:
 
 @dataclass
 class TrainResult:
-    """Final optimizer state plus the best-validation snapshot."""
+    """Final optimizer state plus the snapshot of the best epoch.
+
+    The best epoch has the highest validation AUC. ``best_val_scores``
+    are its validation scores, in ``val_indices`` order, computed at the
+    training batch size from the parameters kept in ``best_parameters``.
+    """
 
     state: TrainState
     history: list[EpochRecord]
-    best_parameters: dict[str, np.ndarray]
-    best_val_auc: float
-    best_epoch: int
+    best_parameters: dict[str, np.ndarray] = field(default_factory=dict)
+    best_val_auc: float = -math.inf
+    best_epoch: int = 0
+    best_val_scores: np.ndarray = field(default_factory=lambda: np.zeros(0))
     train_pool: tuple[int, ...] = field(default=())
 
 
@@ -129,6 +136,36 @@ def _mean_loss(
     return total / len(indices)
 
 
+def _fit_epoch(
+    model: Model,
+    data: CachedDataset,
+    pool: list[int],
+    state: TrainState,
+    rng: np.random.Generator,
+    batch_size: int,
+    augment: bool,
+) -> float:
+    """One shuffled pass of Adam steps over the pool; returns the mean loss."""
+    order = rng.permutation(len(pool))
+    total = 0.0
+    for start in range(0, len(pool), batch_size):
+        batch = [pool[i] for i in order[start : start + batch_size]]
+        images = data.images[batch]
+        if augment:
+            images = np.stack(
+                [
+                    augment_image(ChemImage(pixels=image, side=data.side), rng).pixels
+                    for image in images
+                ]
+            )
+        loss, _, grads = model.loss_and_gradients(
+            images, data.fingerprints[batch], data.keys[batch], data.labels[batch]
+        )
+        total += loss * len(batch)
+        adam_step(state, grads)
+    return total / len(pool)
+
+
 def train(
     model: Model,
     data: CachedDataset,
@@ -156,8 +193,9 @@ def train(
         upsample: Balance classes inside the training pool.
 
     Returns:
-        TrainResult; ``best_parameters`` are copies from the epoch with
-        the highest validation AUC (the initial state for max_epochs 0).
+        TrainResult; ``best_parameters`` and ``best_val_scores`` come from
+        the epoch with the highest validation AUC (epoch 0, the initial
+        state, for max_epochs 0).
 
     Raises:
         NonFiniteLossError: Training diverged; carries the partial
@@ -171,72 +209,36 @@ def train(
         if upsample
         else list(train_indices)
     )
+    val_indices = list(val_indices)
+    val_labels = labels[val_indices].tolist()
     rng = np.random.default_rng(config.seed)
     state = init_train_state(model.params, config.learning_rate)
-    history: list[EpochRecord] = []
-    val_labels = labels[list(val_indices)].tolist()
-
-    def validation_auc(epoch: int) -> float:
-        scores = predict_scores(model, data, list(val_indices), config.batch_size)
+    result = TrainResult(state=state, history=[], train_pool=tuple(pool))
+    # max_epochs 0 runs one epoch 0 that scores the initial state untrained.
+    for epoch in range(min(config.max_epochs, 1), config.max_epochs + 1):
+        started = time.perf_counter()
+        if epoch == 0:
+            loss = _mean_loss(model, data, pool, config.batch_size)
+        else:
+            try:
+                loss = _fit_epoch(model, data, pool, state, rng, config.batch_size, augment)
+            except NonFiniteLossError:
+                raise NonFiniteLossError(epoch, result.history) from None
+        scores = predict_scores(model, data, val_indices, config.batch_size)
         if not np.all(np.isfinite(scores)):
             # Divergence can surface here first when the final batch of an
             # epoch breaks the parameters after its own loss was computed.
-            raise NonFiniteLossError(epoch, history)
-        return auc_roc(scores.tolist(), val_labels)
-
-    best_auc = -math.inf
-    best_epoch = 0
-    best_parameters = {k: v.copy() for k, v in model.params.items()}
-    if config.max_epochs == 0:
-        started = time.perf_counter()
-        loss = _mean_loss(model, data, pool, config.batch_size)
-        best_auc = validation_auc(0)
-        history.append(
-            EpochRecord(0, loss, best_auc, state.current_lr, time.perf_counter() - started)
-        )
-    for epoch in range(1, config.max_epochs + 1):
-        started = time.perf_counter()
-        order = rng.permutation(len(pool))
-        total_loss = 0.0
-        for start in range(0, len(pool), config.batch_size):
-            batch = [pool[i] for i in order[start : start + config.batch_size]]
-            images = data.images[batch]
-            if augment:
-                images = np.stack(
-                    [
-                        augment_image(ChemImage(pixels=image, side=data.side), rng).pixels
-                        for image in images
-                    ]
-                )
-            try:
-                loss, _, grads = model.loss_and_gradients(
-                    images,
-                    data.fingerprints[batch],
-                    data.keys[batch],
-                    labels[batch],
-                )
-            except NonFiniteLossError:
-                raise NonFiniteLossError(epoch, history) from None
-            total_loss += loss * len(batch)
-            adam_step(state, grads)
-        epoch_loss = total_loss / len(pool)
-        epoch_lr = state.current_lr
-        auc = validation_auc(epoch)
+            raise NonFiniteLossError(epoch, result.history)
+        auc = auc_roc(scores.tolist(), val_labels)
         seconds = time.perf_counter() - started
-        history.append(EpochRecord(epoch, epoch_loss, auc, epoch_lr, seconds))
-        if auc > best_auc:
-            best_auc = auc
-            best_epoch = epoch
-            best_parameters = {k: v.copy() for k, v in model.params.items()}
+        result.history.append(EpochRecord(epoch, loss, auc, state.current_lr, seconds))
+        if auc > result.best_val_auc:
+            result.best_val_auc = auc
+            result.best_epoch = epoch
+            result.best_val_scores = scores
+            result.best_parameters = {k: v.copy() for k, v in model.params.items()}
         reduce_lr_on_plateau(state, auc, config.patience, config.lr_factor)
-    return TrainResult(
-        state=state,
-        history=history,
-        best_parameters=best_parameters,
-        best_val_auc=best_auc,
-        best_epoch=best_epoch,
-        train_pool=tuple(pool),
-    )
+    return result
 
 
 def write_history_csv(history: list[EpochRecord], path: str | Path) -> None:

@@ -7,6 +7,7 @@ are all observable; one subprocess smoke test covers module execution.
 from __future__ import annotations
 
 import hashlib
+import importlib
 import json
 import os
 import subprocess
@@ -21,6 +22,8 @@ from molcap import dataset
 from molcap.cli import main
 from molcap.dataset import FEATURIZER_VERSION, read_cache
 from molcap.errors import NonFiniteLossError
+
+train_module = importlib.import_module("molcap.nn.train")
 
 OXYGEN = ["CCO", "CO", "OCC", "O", "CC(=O)C", "OC(C)C", "CCCO", "COC"]
 PLAIN = ["C", "CC", "CCC", "CCCC", "CN", "CCN", "c1ccccc1", "C1CC1"]
@@ -194,6 +197,7 @@ def test_featurize_rejects_tiny_fingerprint_width(tmp_path, capsys) -> None:
         (["--image-side", "-5"], "between 1 and 65535"),
         (["--image-side", "0"], "between 1 and 65535"),
         (["--image-side", "65536"], "between 1 and 65535"),
+        (["--fp-bits", "12"], "power of two of at least 8"),
     ],
 )
 def test_featurize_rejects_sizes_the_cache_cannot_hold(
@@ -358,17 +362,22 @@ def test_cv_fast32_byte_identical_across_runs(cache_path, tmp_path) -> None:
         assert (first / name).read_bytes() == (second / name).read_bytes(), name
 
 
-def test_cv_scores_folds_at_training_batch(cache_path, tmp_path, monkeypatch) -> None:
-    real_predict = cli.predict_scores
+@pytest.mark.parametrize("epochs, passes", [("0", 1), ("2", 2)])
+def test_cv_scores_validation_once_per_epoch_at_training_batch(
+    cache_path, tmp_path, monkeypatch, epochs, passes
+) -> None:
+    real_predict = train_module.predict_scores
     batch_sizes = []
 
-    def recording(model, data, indices, batch_size=256):
+    def recording(model, data, indices, batch_size):
         batch_sizes.append(batch_size)
         return real_predict(model, data, indices, batch_size)
 
-    monkeypatch.setattr(cli, "predict_scores", recording)
-    assert run_cv(cache_path, tmp_path / "run") == 0
-    assert batch_sizes == [8, 8]  # run_cv passes --batch 8, two folds
+    monkeypatch.setattr(train_module, "predict_scores", recording)
+    # cv writes roc.csv from train's scores; a pass of its own would count too.
+    monkeypatch.setattr(cli, "predict_scores", recording, raising=False)
+    assert run_cv(cache_path, tmp_path / "run", "--max-epochs", epochs) == 0
+    assert batch_sizes == [8] * passes * 2  # run_cv passes --batch 8, two folds
 
 
 def test_cv_rejects_single_fold(cache_path, tmp_path, capsys) -> None:

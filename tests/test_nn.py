@@ -633,6 +633,37 @@ def test_float64_results_independent_of_blas_threads() -> None:
     assert outputs[0] == outputs[1] == outputs[2]
 
 
+# _THREAD_PROBE with float32 parameters.
+_THREAD_PROBE_F32 = _THREAD_PROBE.replace("seed=1)", "seed=1, dtype=np.float32)")
+
+
+def test_float32_results_independent_of_blas_threads() -> None:
+    # The same configurations and children as the float64 test above.
+    assert _THREAD_PROBE_F32 != _THREAD_PROBE
+    specs = ["1,4,22,32", "1,4,20,2", "3,16,60,32"]
+    source_root = str(Path(molcap.__file__).resolve().parents[1])
+    python_path = os.pathsep.join(filter(None, [source_root, os.environ.get("PYTHONPATH")]))
+    outputs = []
+    for threads, cpus in (("1", "all"), ("2", "all"), ("2", "pinned")):
+        env = {
+            **os.environ,
+            "OPENBLAS_NUM_THREADS": threads,
+            "OMP_NUM_THREADS": threads,
+            "PYTHONPATH": python_path,
+        }
+        proc = subprocess.run(
+            [sys.executable, "-c", _THREAD_PROBE_F32, cpus, *specs],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout.splitlines())
+    assert len(outputs[0]) == len(specs)
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
 def _model_bytes(model: Model, batch: int) -> list[bytes]:
     """Probabilities, loss, every gradient and predict's output, as bytes."""
     side = model.config.image_side
@@ -999,6 +1030,18 @@ def test_train_history_shape() -> None:
     assert all(r.seconds >= 0 for r in result.history)
     assert result.best_epoch in (1, 2, 3)
     assert result.best_val_auc == max(r.val_auc for r in result.history)
+
+
+def test_train_keeps_best_epoch_scores() -> None:
+    data = synthetic_data(seed=6)
+    val_idx = list(range(48, 64))
+    config = TrainConfig(max_epochs=3, batch_size=16, seed=5)
+    result = train(small_model(seed=1), data, list(range(48)), val_idx, config)
+    rescored = small_model(seed=1)
+    rescored.params = result.best_parameters
+    scores = predict_scores(rescored, data, val_idx, config.batch_size)
+    assert result.best_val_scores.tobytes() == scores.tobytes()
+    assert result.history[result.best_epoch - 1].val_auc == result.best_val_auc
 
 
 def test_train_deterministic_given_seed() -> None:
