@@ -33,7 +33,8 @@ from .dataset import (
     write_exclusion_csv,
 )
 from .errors import ConfigError, MolcapError, NonFiniteLossError
-from .imaging import render_molecule, write_pgm
+from .fingerprints import DEFAULT_NBITS, DEFAULT_RADIUS
+from .imaging import DEFAULT_SIDE, render_molecule, write_pgm
 from .maccs import default_key_path, load_key_definitions
 from .metrics import aggregate_folds, roc_points, write_roc_csv
 from .nn import (
@@ -358,9 +359,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     featurize.add_argument("--in", dest="in_path", required=True)
     featurize.add_argument("--out", required=True)
-    featurize.add_argument("--image-side", type=int, default=60)
-    featurize.add_argument("--fp-bits", type=int, default=2048)
-    featurize.add_argument("--radius", type=int, default=2)
+    featurize.add_argument("--image-side", type=int, default=DEFAULT_SIDE)
+    featurize.add_argument("--fp-bits", type=int, default=DEFAULT_NBITS)
+    featurize.add_argument("--radius", type=int, default=DEFAULT_RADIUS)
     featurize.add_argument("--smiles-col", default="smiles")
     featurize.add_argument("--label-col", default="HIV_active")
     featurize.add_argument("--workers", type=int, default=1)
@@ -406,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     draw = commands.add_parser("draw", help="render one SMILES to a PGM image")
     draw.add_argument("--smiles", required=True)
     draw.add_argument("--out", required=True)
-    draw.add_argument("--image-side", type=int, default=60)
+    draw.add_argument("--image-side", type=int, default=DEFAULT_SIDE)
     draw.set_defaults(func=cmd_draw)
     return parser
 

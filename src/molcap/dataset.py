@@ -39,8 +39,14 @@ from .errors import (
     SmilesError,
     TooFewExamplesError,
 )
-from .fingerprints import Fingerprint, check_fingerprint_width, morgan_fingerprint
-from .imaging import ChemImage, layout_2d, rasterize
+from .fingerprints import (
+    DEFAULT_NBITS,
+    DEFAULT_RADIUS,
+    Fingerprint,
+    check_fingerprint_width,
+    morgan_fingerprint,
+)
+from .imaging import DEFAULT_SIDE, ChemImage, layout_2d, rasterize
 from .maccs import N_KEYS, KeyDefinition, KeyVector, evaluate_keys, load_key_definitions
 from .smiles import parse_smiles
 
@@ -249,11 +255,18 @@ def check_image_side(side: int) -> None:
         raise ConfigError(f"image side must be between 1 and {_MAX_SIDE}, got {side}")
 
 
+def _check_cache_width(nbits: int) -> None:
+    """Raise ConfigError unless a cache can record this fingerprint width."""
+    check_fingerprint_width(nbits)
+    if nbits > _MAX_FP_BITS:
+        raise ConfigError(f"fingerprint width must be at most {_MAX_FP_BITS}, got {nbits}")
+
+
 def featurize_dataset(
     molecules: Sequence[LabeledMolecule],
-    side: int = 60,
-    radius: int = 2,
-    nbits: int = 2048,
+    side: int = DEFAULT_SIDE,
+    radius: int = DEFAULT_RADIUS,
+    nbits: int = DEFAULT_NBITS,
     definitions: list[KeyDefinition] | None = None,
     workers: int = 1,
 ) -> tuple[list[CaptionedExample], ExclusionReport]:
@@ -281,9 +294,7 @@ def featurize_dataset(
     check_image_side(side)
     if radius < 0:
         raise ConfigError(f"fingerprint radius must be at least 0, got {radius}")
-    check_fingerprint_width(nbits)
-    if nbits > _MAX_FP_BITS:
-        raise ConfigError(f"fingerprint width must be at most {_MAX_FP_BITS}, got {nbits}")
+    _check_cache_width(nbits)
     if workers < 1:
         raise ConfigError(f"workers must be at least 1, got {workers}")
     if definitions is None:
@@ -441,14 +452,14 @@ def corpus_digest(molecules: Sequence[LabeledMolecule]) -> str:
     return digest.hexdigest()
 
 
-def _record_dtype(side: int, nbits: int, n_keys: int) -> np.dtype:
+def _record_dtype(side: int, nbits: int) -> np.dtype:
     """One packed cache record: label, raster, then packed fingerprint and keys."""
     return np.dtype(
         [
             ("label", "u1"),
             ("image", "<f4", (side, side)),
             ("fingerprint", "u1", (nbits // 8,)),
-            ("keys", "u1", (math.ceil(n_keys / 8),)),
+            ("keys", "u1", (math.ceil(N_KEYS / 8),)),
         ]
     )
 
@@ -459,7 +470,7 @@ def _pack_records(examples: Sequence[CaptionedExample]) -> np.ndarray:
     nbits = examples[0].fingerprint.nbits
     if any(e.image.side != side or e.fingerprint.nbits != nbits for e in examples):
         raise CacheError("examples disagree on image or fingerprint size")
-    records = np.empty(len(examples), dtype=_record_dtype(side, nbits, N_KEYS))
+    records = np.empty(len(examples), dtype=_record_dtype(side, nbits))
     records["label"] = [e.label for e in examples]
     np.stack([e.image.pixels for e in examples], out=records["image"])
     records["fingerprint"] = [np.frombuffer(e.fingerprint.data, np.uint8) for e in examples]
@@ -467,12 +478,12 @@ def _pack_records(examples: Sequence[CaptionedExample]) -> np.ndarray:
     return records
 
 
-def _unpack_records(records: np.ndarray, n_keys: int, corpus_hash: str) -> CachedDataset:
+def _unpack_records(records: np.ndarray, corpus_hash: str) -> CachedDataset:
     """Training-ready arrays from cache records; none is a view of them."""
     return CachedDataset(
         images=records["image"].astype(np.float32),
         fingerprints=np.unpackbits(records["fingerprint"], axis=1),
-        keys=np.unpackbits(records["keys"], axis=1, count=n_keys),
+        keys=np.unpackbits(records["keys"], axis=1, count=N_KEYS),
         labels=records["label"].copy(),
         corpus_hash=corpus_hash,
         featurizer_version=FEATURIZER_VERSION,
@@ -527,7 +538,7 @@ def read_cache(
 
     Raises:
         CacheError: Bad magic, unsupported version, wrong corpus hash,
-            or truncated data.
+            a width or key count the featurizer never writes, or a bad body length.
     """
     raw = Path(path).read_bytes()
     if len(raw) < _HEADER.size:
@@ -546,15 +557,21 @@ def read_cache(
     corpus_hash = stored.hex()
     if expected_hash is not None and corpus_hash != expected_hash.lower():
         raise CacheError(f"{path}: corpus hash mismatch")
+    try:
+        _check_cache_width(nbits)
+    except ConfigError as exc:
+        raise CacheError(f"{path}: {exc}") from None
+    if n_keys != N_KEYS:
+        raise CacheError(f"{path}: {n_keys} keys per record, expected {N_KEYS}")
 
-    dtype = _record_dtype(side, nbits, n_keys)
+    dtype = _record_dtype(side, nbits)
     body = len(raw) - _HEADER.size
     if body != count * dtype.itemsize:
         raise CacheError(
             f"{path}: expected {count * dtype.itemsize} record bytes, found {body}"
         )
     records = np.frombuffer(raw, dtype=dtype, count=count, offset=_HEADER.size)
-    return _unpack_records(records, n_keys, corpus_hash)
+    return _unpack_records(records, corpus_hash)
 
 
 def arrays_from_examples(
@@ -563,4 +580,4 @@ def arrays_from_examples(
     """The arrays read_cache would yield for a cache of these examples."""
     if not examples:
         raise CacheError("no examples to stack")
-    return _unpack_records(_pack_records(examples), N_KEYS, corpus_hash)
+    return _unpack_records(_pack_records(examples), corpus_hash)

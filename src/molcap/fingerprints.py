@@ -45,7 +45,12 @@ __all__ = [
     "check_fingerprint_width",
     "fold_to_bits",
     "morgan_fingerprint",
+    "DEFAULT_NBITS",
+    "DEFAULT_RADIUS",
 ]
+
+DEFAULT_NBITS = 2048
+DEFAULT_RADIUS = 2
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
@@ -99,7 +104,7 @@ class Fingerprint:
         return self.data.hex()
 
     @classmethod
-    def from_hex(cls, text: str, radius: int = 2) -> "Fingerprint":
+    def from_hex(cls, text: str, radius: int = DEFAULT_RADIUS) -> "Fingerprint":
         data = bytes.fromhex(text)
         return cls(data=data, nbits=len(data) * 8, radius=radius)
 
@@ -213,7 +218,7 @@ def fold_to_bits(
 
 
 def morgan_fingerprint(
-    graph: MolecularGraph, radius: int = 2, nbits: int = 2048
+    graph: MolecularGraph, radius: int = DEFAULT_RADIUS, nbits: int = DEFAULT_NBITS
 ) -> Fingerprint:
     """Generate, deduplicate, and fold in one call."""
     return fold_to_bits(morgan_iterate(graph, radius), nbits, radius=radius)

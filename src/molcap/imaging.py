@@ -9,14 +9,16 @@ force-directed iterations repair it; failure to reach the constraints
 raises LayoutFailureError.
 
 Rasterization maps bond-length units onto 3 pixels each, centers the
-molecule on the grid, draws every bond as a sampled line at intensity
-0.2 x order (0.3 for aromatic), and overdraws every atom as one pixel at
+molecule on the grid (60 x 60 unless asked otherwise), draws every bond
+as a line sampled at most a quarter pixel apart, at intensity 0.2 x
+order (0.3 for aromatic), and overdraws every atom as one pixel at
 intensity min(1, atomic_number / 80); where an atom and a bond share a
 pixel the atom value wins.  Grid offsets are rounded half away from
 zero, so a 90 degree rotation of the layout permutes pixels exactly and
 the nonzero pixel count is rotation invariant.  Molecules whose scaled
 extent exceeds the grid raise DoesNotFitError, which is the featurizer's
-size-exclusion mechanism.
+size-exclusion mechanism.  Bond samples and atom pixels are computed
+and written as whole arrays.
 """
 
 from __future__ import annotations
@@ -38,8 +40,10 @@ __all__ = [
     "render_molecule",
     "write_pgm",
     "PIXELS_PER_UNIT",
+    "DEFAULT_SIDE",
 ]
 
+DEFAULT_SIDE = 60
 PIXELS_PER_UNIT = 3
 BOND_TOLERANCE = 0.15
 MIN_SEPARATION = 0.5
@@ -151,11 +155,7 @@ def layout_2d(graph: MolecularGraph) -> Layout2D:
                 f"{MAX_RELAX_ITERATIONS} iterations"
             )
 
-    coords = positions[indices]
-    box = (
-        float(coords[:, 0].max() - coords[:, 0].min()),
-        float(coords[:, 1].max() - coords[:, 1].min()),
-    )
+    box = tuple(float(extent) for extent in np.ptp(positions[indices], axis=0))
     placed_mask = np.zeros(n, dtype=bool)
     placed_mask[indices] = True
     return Layout2D(positions=positions, placed=placed_mask, bounding_box=box)
@@ -317,16 +317,12 @@ def _open_direction(
 
 def _placed_bonds(
     graph: MolecularGraph, indices: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """End-atom index arrays (a, b) of the bonds between placed atoms."""
-    index_set = set(indices.tolist())
-    pairs = [
-        (bond.a, bond.b)
-        for bond in graph.bonds
-        if bond.a in index_set and bond.b in index_set
-    ]
-    ends = np.array(pairs, dtype=np.intp).reshape(-1, 2)
-    return ends[:, 0], ends[:, 1]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """End-atom index arrays (a, b) and orders of the bonds between placed atoms."""
+    placed = set(indices.tolist())
+    rows = [(b.a, b.b, b.order) for b in graph.bonds if b.a in placed and b.b in placed]
+    table = np.array(rows, dtype=np.intp).reshape(-1, 3)
+    return table[:, 0], table[:, 1], table[:, 2]
 
 
 def _bond_vectors(
@@ -363,7 +359,8 @@ def _constraints_ok(
     graph: MolecularGraph, positions: np.ndarray, indices: np.ndarray
 ) -> bool:
     """Every placed bond within 15% of unit length, no pair under 0.5."""
-    return _distances_ok(positions, indices, *_placed_bonds(graph, indices))
+    bond_a, bond_b, _ = _placed_bonds(graph, indices)
+    return _distances_ok(positions, indices, bond_a, bond_b)
 
 
 def _relax(
@@ -376,7 +373,7 @@ def _relax(
     interleaved end atoms (a0, b0, a1, b1, ...), so every atom sums its
     terms in bond order, and each placed atom takes its repulsion once.
     """
-    bond_a, bond_b = _placed_bonds(graph, indices)
+    bond_a, bond_b, _ = _placed_bonds(graph, indices)
     ends = np.empty(2 * len(bond_a), dtype=np.intp)
     ends[0::2] = bond_a
     ends[1::2] = bond_b
@@ -422,11 +419,15 @@ def _relax(
 # Rasterization
 
 
-def _round_half_away(value: float) -> int:
-    return int(math.floor(value + 0.5)) if value >= 0 else -int(math.floor(-value + 0.5))
+def _grid_cells(points: np.ndarray, side: int) -> tuple[np.ndarray, np.ndarray]:
+    """(row, col) of scaled (x, y) points, rounded half away from zero."""
+    x, y = np.copysign(np.floor(np.abs(points) + 0.5), points).astype(np.intp).T
+    return side // 2 - y, side // 2 + x
 
 
-def rasterize(graph: MolecularGraph, layout: Layout2D, side: int = 60) -> ChemImage:
+def rasterize(
+    graph: MolecularGraph, layout: Layout2D, side: int = DEFAULT_SIDE
+) -> ChemImage:
     """Draw the laid-out molecule onto a side x side grid.
 
     Args:
@@ -441,64 +442,40 @@ def rasterize(graph: MolecularGraph, layout: Layout2D, side: int = 60) -> ChemIm
         DoesNotFitError: The molecule needs more pixels than the grid
             provides at 3 px per bond unit.
     """
-    placed_indices = [i for i in range(len(graph.atoms)) if layout.placed[i]]
-    atom_layer = np.zeros((side, side), dtype=np.float64)
-    bond_layer = np.zeros((side, side), dtype=np.float64)
-    if not placed_indices:
-        return ChemImage(pixels=atom_layer.astype(np.float32), side=side)
+    indices = np.flatnonzero(layout.placed)
+    if not len(indices):
+        return ChemImage(pixels=np.zeros((side, side), dtype=np.float32), side=side)
 
-    coords = layout.positions[placed_indices]
-    center = np.array(
-        [
-            (coords[:, 0].min() + coords[:, 0].max()) / 2.0,
-            (coords[:, 1].min() + coords[:, 1].max()) / 2.0,
-        ]
-    )
-    half = (side - 1) // 2
+    coords = layout.positions[indices]
+    center = (coords.min(axis=0) + coords.max(axis=0)) / 2.0
+    scaled = PIXELS_PER_UNIT * (layout.positions - center)
+    atoms = scaled[indices]
+    reach = int(np.floor(np.abs(atoms) + 0.5).max())
+    if reach > (side - 1) // 2:
+        raise DoesNotFitError(2 * reach + 1, side)
 
-    offsets: dict[int, tuple[int, int]] = {}
-    max_offset = 0
-    for i in placed_indices:
-        dx = PIXELS_PER_UNIT * (layout.positions[i][0] - center[0])
-        dy = PIXELS_PER_UNIT * (layout.positions[i][1] - center[1])
-        px, py = _round_half_away(float(dx)), _round_half_away(float(dy))
-        offsets[i] = (px, py)
-        max_offset = max(max_offset, abs(px), abs(py))
-    if max_offset > half:
-        raise DoesNotFitError(2 * max_offset + 1, side)
+    # Each bond is sampled like np.linspace(0, 1, n): sample k at
+    # k * (1 / (n - 1)) and the last at exactly 1.
+    bond_a, bond_b, order = _placed_bonds(graph, indices)
+    _, lengths = _bond_vectors(scaled, bond_a, bond_b)
+    counts = np.maximum(2, np.ceil(lengths * 4.0).astype(np.intp) + 1)
+    ends = np.cumsum(counts)
+    bond = np.repeat(np.arange(len(counts)), counts)
+    t = (np.arange(counts.sum()) - (ends - counts)[bond]) * (1.0 / (counts - 1))[bond]
+    t[ends - 1] = 1.0
+    points = (1.0 - t)[:, None] * scaled[bond_a[bond]] + t[:, None] * scaled[bond_b[bond]]
+    intensity = np.where(order == BondOrder.AROMATIC, 0.3, 0.2 * order)
+    bond_layer, atom_layer = np.zeros((2, side, side))
+    np.maximum.at(bond_layer, _grid_cells(points, side), intensity[bond])
 
-    def pixel(px: int, py: int) -> tuple[int, int]:
-        return side // 2 - py, side // 2 + px
-
-    placed_set = set(placed_indices)
-    for bond in graph.bonds:
-        if bond.a not in placed_set or bond.b not in placed_set:
-            continue
-        if bond.order == BondOrder.AROMATIC:
-            intensity = 0.3
-        else:
-            intensity = 0.2 * int(bond.order)
-        start = PIXELS_PER_UNIT * (layout.positions[bond.a] - center)
-        end = PIXELS_PER_UNIT * (layout.positions[bond.b] - center)
-        length = float(np.linalg.norm(end - start))
-        samples = max(2, int(math.ceil(length * 4.0)) + 1)
-        for t in np.linspace(0.0, 1.0, samples):
-            point = (1.0 - t) * start + t * end
-            row, col = pixel(
-                _round_half_away(float(point[0])), _round_half_away(float(point[1]))
-            )
-            bond_layer[row, col] = max(bond_layer[row, col], intensity)
-
-    for i in placed_indices:
-        row, col = pixel(*offsets[i])
-        value = min(1.0, graph.atoms[i].element / 80.0)
-        atom_layer[row, col] = max(atom_layer[row, col], value)
+    elements = np.array([graph.atoms[i].element for i in indices])
+    np.maximum.at(atom_layer, _grid_cells(atoms, side), np.minimum(1.0, elements / 80.0))
 
     pixels = np.where(atom_layer > 0, atom_layer, bond_layer).astype(np.float32)
     return ChemImage(pixels=pixels, side=side)
 
 
-def render_molecule(graph: MolecularGraph, side: int = 60) -> ChemImage:
+def render_molecule(graph: MolecularGraph, side: int = DEFAULT_SIDE) -> ChemImage:
     """Layout and rasterize in one step."""
     return rasterize(graph, layout_2d(graph), side=side)
 

@@ -47,6 +47,9 @@ from typing import TYPE_CHECKING, NamedTuple
 import numpy as np
 
 from ..errors import ConfigError, NonFiniteLossError, ShapeMismatchError
+from ..fingerprints import DEFAULT_NBITS
+from ..imaging import DEFAULT_SIDE
+from ..maccs import N_KEYS
 from .layers import (
     bce_with_logits,
     concat_backward,
@@ -165,9 +168,9 @@ class ModelConfig:
 
     blocks_per_stage: int = 3
     filters: int = 16
-    image_side: int = 60
-    fp_width: int = 2048
-    keys_width: int = 167
+    image_side: int = DEFAULT_SIDE
+    fp_width: int = DEFAULT_NBITS
+    keys_width: int = N_KEYS
     maccs_hidden: int = 5
     use_fingerprint: bool = True
     use_keys: bool = True
@@ -359,8 +362,7 @@ class Model:
         """Run the network, keeping every activation needed by backward.
 
         Args:
-            images: (N, side, side) or channels-last (N, side, side, 1)
-                rasters.
+            images: (N, side, side) rasters.
             fingerprints: (N, fp_width) bit array; ignored when the
                 fingerprint branch is disabled.
             keys: (N, keys_width) bit array; ignored when the key branch
@@ -375,12 +377,9 @@ class Model:
         """
         cfg = self.config
         x = np.asarray(images, dtype=self.dtype)
-        if x.ndim == 3:
-            x = x[:, :, :, None]
-        if x.shape[1:] != (cfg.image_side, cfg.image_side, 1):
-            raise ShapeMismatchError(
-                (x.shape[0], cfg.image_side, cfg.image_side, 1), x.shape
-            )
+        if x.shape[1:] != (cfg.image_side, cfg.image_side):
+            raise ShapeMismatchError(x.shape[:1] + (cfg.image_side,) * 2, x.shape)
+        x = x[:, :, :, None]
         n = len(x)
         if cfg.use_fingerprint:
             fp = self._caption(fingerprints, (n, cfg.fp_width))

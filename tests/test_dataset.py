@@ -548,6 +548,8 @@ def test_cache_rejects_mixed_sizes_before_opening(tmp_path, small_examples) -> N
     [
         (4, b"\x02\x00"),  # cache version
         (6, b"\x02\x00"),  # featurizer version
+        (18, b"\x07\x08"),  # fingerprint width 2055, same body length
+        (20, b"\xa1\x00"),  # 161 keys, same body length
         (None, b"\x00"),  # one byte past the last record
     ],
 )

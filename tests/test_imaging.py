@@ -2,8 +2,9 @@
 
 Geometry facts (hexagon circumradius, pixel counts) are hand-derived;
 rotation invariance is checked by rotating coordinates before drawing.
-The vectorized relax step is checked against a reference copy of the
-earlier per-bond loop, which it must reproduce byte for byte.
+The vectorized relax step and the array rasterizer are checked against
+reference copies of the earlier per-bond loops, which they must
+reproduce byte for byte.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from molcap.imaging import (
     BOND_TOLERANCE,
     MAX_RELAX_ITERATIONS,
     MIN_SEPARATION,
+    PIXELS_PER_UNIT,
     ChemImage,
     Layout2D,
     layout_2d,
@@ -28,7 +30,7 @@ from molcap.imaging import (
     render_molecule,
     write_pgm,
 )
-from molcap.smiles import MolecularGraph, parse_smiles
+from molcap.smiles import BondOrder, MolecularGraph, parse_smiles
 
 from util import random_smiles
 
@@ -281,6 +283,125 @@ def test_ring_rich_layout_and_raster_bytes_match_pinned_digest() -> None:
             digest.update(b"D")
     assert failures == PINNED_RING_RICH_FAILURES
     assert digest.hexdigest() == PINNED_RING_RICH_SHA256
+
+
+# --------------------------------------------------------------------------
+# Reference rasterize: the earlier per-bond, per-sample drawing loop
+
+
+def _reference_round(value: float) -> int:
+    return int(math.floor(value + 0.5)) if value >= 0 else -int(math.floor(-value + 0.5))
+
+
+def reference_rasterize(
+    graph: MolecularGraph, layout: Layout2D, side: int = 60
+) -> np.ndarray:
+    placed_indices = [i for i in range(len(graph.atoms)) if layout.placed[i]]
+    atom_layer = np.zeros((side, side), dtype=np.float64)
+    bond_layer = np.zeros((side, side), dtype=np.float64)
+    if not placed_indices:
+        return atom_layer.astype(np.float32)
+
+    coords = layout.positions[placed_indices]
+    center = np.array(
+        [
+            (coords[:, 0].min() + coords[:, 0].max()) / 2.0,
+            (coords[:, 1].min() + coords[:, 1].max()) / 2.0,
+        ]
+    )
+    half = (side - 1) // 2
+
+    offsets: dict[int, tuple[int, int]] = {}
+    max_offset = 0
+    for i in placed_indices:
+        dx = PIXELS_PER_UNIT * (layout.positions[i][0] - center[0])
+        dy = PIXELS_PER_UNIT * (layout.positions[i][1] - center[1])
+        px, py = _reference_round(float(dx)), _reference_round(float(dy))
+        offsets[i] = (px, py)
+        max_offset = max(max_offset, abs(px), abs(py))
+    if max_offset > half:
+        raise DoesNotFitError(2 * max_offset + 1, side)
+
+    def pixel(px: int, py: int) -> tuple[int, int]:
+        return side // 2 - py, side // 2 + px
+
+    placed_set = set(placed_indices)
+    for bond in graph.bonds:
+        if bond.a not in placed_set or bond.b not in placed_set:
+            continue
+        if bond.order == BondOrder.AROMATIC:
+            intensity = 0.3
+        else:
+            intensity = 0.2 * int(bond.order)
+        start = PIXELS_PER_UNIT * (layout.positions[bond.a] - center)
+        end = PIXELS_PER_UNIT * (layout.positions[bond.b] - center)
+        length = float(np.linalg.norm(end - start))
+        samples = max(2, int(math.ceil(length * 4.0)) + 1)
+        for t in np.linspace(0.0, 1.0, samples):
+            point = (1.0 - t) * start + t * end
+            row, col = pixel(
+                _reference_round(float(point[0])), _reference_round(float(point[1]))
+            )
+            bond_layer[row, col] = max(bond_layer[row, col], intensity)
+
+    for i in placed_indices:
+        row, col = pixel(*offsets[i])
+        value = min(1.0, graph.atoms[i].element / 80.0)
+        atom_layer[row, col] = max(atom_layer[row, col], value)
+
+    return np.where(atom_layer > 0, atom_layer, bond_layer).astype(np.float32)
+
+
+# Disconnected, aromatic, triple-bond and heavy-atom molecules, plus
+# chains whose scaled coordinates land exactly on half pixels.
+REFERENCE_RASTER_SMILES = [
+    "C",
+    "CC",
+    "CCC",
+    "CC.OCC(=O)O",
+    "[Na+].[Cl-]",
+    "c1ccc2ccccc2c1",
+    "c1ccccc1-c1ccncc1",
+    "CC#CC#N",
+    "N#Cc1ccccc1C#C",
+    "[Hg]C(Cl)(Br)I",
+    "[U]",
+    "O=[Os](=O)(=O)=O",
+]
+
+
+def test_rasterize_matches_reference_loop_byte_for_byte() -> None:
+    graphs = [parse_smiles(s) for s in REFERENCE_RASTER_SMILES]
+    for seed, max_atoms, ring_bias in ((0, 25, 0.7), (1, 12, 0.3)):
+        rng = random.Random(seed)
+        graphs += [
+            parse_smiles(random_smiles(rng, max_atoms=max_atoms, ring_bias=ring_bias))
+            for _ in range(80)
+        ]
+    layouts = []
+    for graph in graphs:
+        try:
+            layout = layout_2d(graph)
+        except LayoutFailureError:
+            continue
+        layouts += [(graph, layout), (graph, layout.rotated90())]
+    for side in (1, 3, 7, 15, 22, 60, 61):
+        drawn = refused = 0
+        for graph, layout in layouts:
+            try:
+                expected = reference_rasterize(graph, layout, side)
+            except DoesNotFitError as exc:
+                with pytest.raises(DoesNotFitError) as got:
+                    rasterize(graph, layout, side)
+                assert (got.value.extent_px, got.value.side) == (exc.extent_px, side)
+                refused += 1
+            else:
+                assert rasterize(graph, layout, side).pixels.tobytes() == expected.tobytes()
+                drawn += 1
+        assert drawn > 0
+        assert refused > 0 or side >= 60
+        if side == 15:
+            assert min(drawn, refused) >= 40
 
 
 # --------------------------------------------------------------------------

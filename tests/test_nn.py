@@ -489,6 +489,10 @@ def test_wrong_image_side_rejected() -> None:
     images, fps, keys = small_inputs(rng, side=16)
     with pytest.raises(ShapeMismatchError):
         model.forward(images, fps, keys)
+    # Channels-last (N, side, side, 1) is not an accepted form either.
+    images, fps, keys = small_inputs(rng)
+    with pytest.raises(ShapeMismatchError):
+        model.forward(images[:, :, :, None], fps, keys)
 
 
 def test_bad_caption_inputs_rejected() -> None:
