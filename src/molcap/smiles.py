@@ -456,8 +456,11 @@ class _Parser:
                 {bond.a, bond.b} == {opening.atom, self.prev_atom} for bond in self.bonds
             ):
                 raise UnclosedRingBondError(number, "duplicates an existing bond")
-            # When both ends carry a bond symbol the closing one wins.
             order = self.pending_order if self.pending_order is not None else opening.order
+            if opening.order is not None and opening.order != order:
+                raise MalformedSmilesError(
+                    f"ring closure {number} has conflicting bond symbols at position {token.pos}"
+                )
             self._connect(opening.atom, self.prev_atom, order)
         self.pending_order = None
 

@@ -21,6 +21,12 @@ construct fails loudly rather than silently matching wrong:
 Matching is monomorphic (extra molecule bonds never block a match) and
 counts are deduplicated by the set of matched molecule atoms, so a
 symmetric pattern does not count its own automorphisms.
+
+The search runs on bitsets, in the manner of Ullmann's bit-matrix
+refinement (J. ACM 23:31, 1976): a :class:`MoleculeIndex` keeps sets of
+one molecule's atoms as Python ints, and each step of a match intersects
+a query atom's candidate set with the neighbour sets of the atoms already
+matched.
 """
 
 from __future__ import annotations
@@ -83,13 +89,30 @@ class QueryAtom:
         return True
 
 
-# Bond orders each query bond kind accepts; "any" accepts every order.
+def _predicate_key(atom: QueryAtom) -> str:
+    """Text naming every predicate field of ``atom``; equal predicates
+    give equal keys.  A string caches its hash, so lookups stay cheap."""
+    fields = dict(vars(atom))
+    if atom.elements is not None:
+        fields["elements"] = sorted(atom.elements)
+    return repr(fields)
+
+
+# Bond orders each query bond kind accepts.  A kind's position in this
+# table is its index into MoleculeIndex.bond_masks.
 _BOND_KIND_ORDERS = {
     "single": (BondOrder.SINGLE,),
     "double": (BondOrder.DOUBLE,),
     "triple": (BondOrder.TRIPLE,),
     "aromatic": (BondOrder.AROMATIC,),
     "default": (BondOrder.SINGLE, BondOrder.AROMATIC),
+    "any": tuple(BondOrder),
+}
+_BOND_KINDS = tuple(_BOND_KIND_ORDERS)
+# Indices of the query bond kinds each molecule bond order satisfies.
+_KINDS_OF_ORDER = {
+    order: tuple(kind for kind, orders in enumerate(_BOND_KIND_ORDERS.values()) if order in orders)
+    for order in BondOrder
 }
 
 
@@ -102,26 +125,35 @@ class QueryBond:
     kind: str = "default"
 
     def matches(self, order: BondOrder) -> bool:
-        if self.kind == "any":
-            return True
         return order in _BOND_KIND_ORDERS[self.kind]
 
 
 @dataclass
 class QueryPattern:
-    """A connected query graph parsed from pattern text."""
+    """A connected query graph parsed from pattern text.
+
+    Construction records each atom's predicate key, so atoms with equal
+    predicates share one candidate mask in a :class:`MoleculeIndex`, and
+    each bond's kind index.  Both are plain values, so a pickled pattern
+    means the same in any process.  Atoms and bonds must not change
+    after construction.
+    """
 
     atoms: list[QueryAtom]
     bonds: list[QueryBond]
     text: str = ""
+    atom_keys: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    bond_kinds: tuple[int, ...] = field(init=False, repr=False, compare=False)
     _adjacency: dict[int, list[tuple[int, int]]] = field(
         default_factory=dict, repr=False, compare=False
     )
-    _plans: dict[int, list[tuple[int, list[tuple[int, int]]]]] = field(
+    _plans: dict[int, list[tuple[int, tuple[tuple[int, int], ...]]]] = field(
         default_factory=dict, repr=False, compare=False
     )
 
     def __post_init__(self) -> None:
+        self.atom_keys = tuple(map(_predicate_key, self.atoms))
+        self.bond_kinds = tuple(_BOND_KINDS.index(bond.kind) for bond in self.bonds)
         adj: dict[int, list[tuple[int, int]]] = {i: [] for i in range(len(self.atoms))}
         for bond_index, bond in enumerate(self.bonds):
             adj[bond.a].append((bond.b, bond_index))
@@ -134,19 +166,22 @@ class QueryPattern:
     def degree(self, index: int) -> int:
         return len(self._adjacency[index])
 
-    def plan(self, start: int) -> list[tuple[int, list[tuple[int, int]]]]:
+    def plan(self, start: int) -> list[tuple[int, tuple[tuple[int, int], ...]]]:
         """Search plan from ``start``: per depth, (query atom, back bonds).
 
-        Back bonds are (earlier query atom, bond index) pairs.  The plan
-        depends only on the bond graph, which is fixed at construction,
-        so it is cached per start atom.
+        Back bonds are (earlier query atom, bond kind index) pairs.  The
+        plan depends only on the bond graph, which is fixed at
+        construction, so it is cached per start atom.
         """
         plan = self._plans.get(start)
         if plan is None:
             plan = []
             placed: set[int] = set()
             for q in _query_order(self, start):
-                plan.append((q, [(nb, bi) for nb, bi in self.neighbors(q) if nb in placed]))
+                back = tuple(
+                    (nb, self.bond_kinds[bi]) for nb, bi in self.neighbors(q) if nb in placed
+                )
+                plan.append((q, back))
                 placed.add(q)
             self._plans[start] = plan
         return plan
@@ -227,6 +262,7 @@ def parse_query(pattern: str, text_label: str | None = None) -> QueryPattern:
             prev = stack.pop()
             i += 1
         elif ch.isdigit() or ch == "%":
+            closure_at = i
             if ch == "%":
                 if i + 2 >= n or not pattern[i + 1 : i + 3].isdigit():
                     raise MalformedPatternError("'%' needs two digits", i)
@@ -240,6 +276,10 @@ def parse_query(pattern: str, text_label: str | None = None) -> QueryPattern:
             if number in ring_open:
                 other, opening_bond = ring_open.pop(number)
                 kind = pending if pending is not None else opening_bond
+                if opening_bond is not None and opening_bond != kind:
+                    raise MalformedPatternError(
+                        "conflicting ring-closure bond symbols", closure_at
+                    )
                 bonds.append(QueryBond(other, prev, kind or "default"))
             else:
                 ring_open[number] = (prev, pending)
@@ -412,36 +452,81 @@ def _check_connected(query: QueryPattern, pattern: str) -> None:
 
 
 class MoleculeIndex:
-    """Lookup tables of one molecule, shared by every query matched on it.
+    """Bitmask tables of one molecule, shared by every query matched on it.
 
-    Holds each atom's sorted neighbour list, a map from an (i, j) atom
-    pair to the order of the bond between them (both directions), and,
-    built on first use, the atoms satisfying each distinct query-atom
-    predicate as a sorted list and a set.  The graph must not change
-    while the index is in use.
+    Bit ``m`` of a mask stands for molecule atom ``m``; masks are Python
+    ints, so a molecule may have any number of atoms.  ``bond_masks[kind]
+    [i]`` holds the neighbours of atom ``i`` joined by a bond of that
+    query bond kind (single, double, triple, aromatic, default, any).
+    Candidate masks, the atoms satisfying each distinct query-atom
+    predicate, are built on first use from masks of the atoms by element,
+    charge, heavy degree and hydrogen count, and of the aromatic and ring
+    atoms.  The graph must not change while the index is in use.
     """
 
     def __init__(self, graph: MolecularGraph) -> None:
         self.graph = graph
-        self.neighbors: list[list[int]] = [
-            sorted(m for m, _ in graph.neighbor_bond_indices(i))
-            for i in range(len(graph.atoms))
-        ]
-        self.bond_orders: dict[tuple[int, int], BondOrder] = {}
+        n = len(graph.atoms)
+        self.bond_masks: list[list[int]] = [[0] * n for _ in _BOND_KINDS]
         for bond in graph.bonds:
-            self.bond_orders[bond.a, bond.b] = bond.order
-            self.bond_orders[bond.b, bond.a] = bond.order
-        self._candidates: dict[tuple, tuple[list[int], set[int]]] = {}
+            for kind in _KINDS_OF_ORDER[bond.order]:
+                masks = self.bond_masks[kind]
+                masks[bond.a] |= 1 << bond.b
+                masks[bond.b] |= 1 << bond.a
+        self._all = (1 << n) - 1
+        atoms = graph.atoms
+        self._by_element = _masks_by_value(atom.element for atom in atoms)
+        self._by_charge = _masks_by_value(atom.formal_charge for atom in atoms)
+        self._by_degree = _masks_by_value(map(graph.heavy_degree, range(n)))
+        self._by_h = _masks_by_value(atom.total_h for atom in atoms)
+        self._aromatic = _masks_by_value(atom.aromatic for atom in atoms).get(True, 0)
+        self._in_ring = _masks_by_value(atom.in_ring for atom in atoms).get(True, 0)
+        self._candidates: dict[str, int] = {}
 
-    def candidates(self, atom: QueryAtom) -> tuple[list[int], set[int]]:
-        """Molecule atoms satisfying ``atom``, ascending, and as a set."""
-        key = tuple(vars(atom).values())  # every predicate field, in order
-        found = self._candidates.get(key)
-        if found is None:
-            hits = [m for m in range(len(self.graph.atoms)) if atom.matches(self.graph, m)]
-            found = (hits, set(hits))
-            self._candidates[key] = found
-        return found
+    def candidates(self, query: QueryPattern) -> list[int]:
+        """Mask of the molecule atoms satisfying each query atom, in order."""
+        try:
+            return list(map(self._candidates.__getitem__, query.atom_keys))
+        except KeyError:
+            for key, atom in zip(query.atom_keys, query.atoms):
+                if key not in self._candidates:
+                    self._candidates[key] = self._predicate_mask(atom)
+            return list(map(self._candidates.__getitem__, query.atom_keys))
+
+    def _predicate_mask(self, atom: QueryAtom) -> int:
+        """:meth:`QueryAtom.matches` over every molecule atom at once."""
+        mask = self._all
+        if atom.elements is not None:
+            inside = 0
+            for z in atom.elements:
+                inside |= self._by_element.get(z, 0)
+            mask = mask & ~inside if atom.negate_elements else inside
+        if atom.aromatic is not None:
+            mask &= self._aromatic if atom.aromatic else ~self._aromatic
+        if atom.in_ring is not None:
+            mask &= self._in_ring if atom.in_ring else ~self._in_ring
+        if atom.charge == "nonzero":
+            mask &= ~self._by_charge.get(0, 0)
+        elif atom.charge is not None:
+            mask &= self._by_charge.get(atom.charge, 0)
+        if atom.min_degree is not None:
+            mask &= _at_least(self._by_degree, atom.min_degree)
+        if atom.min_h is not None:
+            mask &= _at_least(self._by_h, atom.min_h)
+        return mask
+
+
+def _masks_by_value(values) -> dict:
+    """Map each value to the mask of the atoms that have it."""
+    masks: dict = {}
+    for m, value in enumerate(values):
+        masks[value] = masks.get(value, 0) | 1 << m
+    return masks
+
+
+def _at_least(masks_by_value: dict[int, int], minimum: int) -> int:
+    """Mask of the atoms whose value is at least ``minimum``."""
+    return sum(mask for value, mask in masks_by_value.items() if value >= minimum)
 
 
 def match_subgraph(
@@ -455,10 +540,11 @@ def match_subgraph(
     Two embeddings that map the query onto the same set of molecule atoms
     count once.  Matching is monomorphic: molecule bonds absent from the
     query are ignored.  The search starts from the most selective query
-    atom (fewest candidate molecule atoms, lowest index on ties), walks
-    only that atom's candidates, and grows the match along query bonds,
-    taking each new atom from the sorted neighbours of an already matched
-    one.  Results are deterministic.
+    atom (fewest candidate molecule atoms, lowest index on ties) and
+    grows the match along query bonds.  Each new atom's pool is its
+    candidate mask, less the atoms already used, intersected with the
+    matching-kind neighbour mask of every matched query neighbour; pools
+    are taken in ascending atom order, so results are deterministic.
 
     Args:
         graph: Target molecule.
@@ -480,54 +566,48 @@ def match_subgraph(
         index = MoleculeIndex(graph)
     elif index.graph is not graph:
         raise ValueError("index was built for a different molecule")
-    candidates = [index.candidates(atom) for atom in query.atoms]
-    if not all(hits for hits, _ in candidates):
+    candidates = index.candidates(query)
+    if not all(candidates):
         return MatchResult(0, None)
-    start = min(range(k), key=lambda q: len(candidates[q][0]))
-    plan = query.plan(start)
+    sizes = [mask.bit_count() for mask in candidates]
+    if k == 1:
+        count = sizes[0] if max_count is None else min(sizes[0], max_count)
+        return MatchResult(count, ((candidates[0] & -candidates[0]).bit_length() - 1,))
+    plan = query.plan(sizes.index(min(sizes)))
 
-    neighbors = index.neighbors
-    bond_orders = index.bond_orders
-    query_bonds = query.bonds
-    matches: set[frozenset[int]] = set()
-    first: list[tuple[int, ...] | None] = [None]
+    bond_masks = index.bond_masks
+    matches: set[int] = set()  # matched atom sets, as masks
+    first: tuple[int, ...] | None = None
     assignment = [-1] * k
-    used: set[int] = set()
-
-    def extend(depth: int) -> bool:
-        """Returns True when the search should stop early."""
-        if depth == k:
-            key = frozenset(assignment)
-            if key not in matches:
-                matches.add(key)
-                if first[0] is None:
-                    first[0] = tuple(assignment)
-                if max_count is not None and len(matches) >= max_count:
-                    return True
-            return False
-        q, back = plan[depth]
-        hits, hit_set = candidates[q]
-        if depth == 0:
-            pool = hits
-        else:
-            pool = [m for m in neighbors[assignment[back[0][0]]] if m in hit_set]
-        for m in pool:
-            if m in used:
-                continue
-            for nb, bond_index in back:
-                order = bond_orders.get((assignment[nb], m))
-                if order is None or not query_bonds[bond_index].matches(order):
-                    break
-            else:
-                assignment[q] = m
-                used.add(m)
-                if extend(depth + 1):
-                    return True
-                used.remove(m)
-        return False
-
-    extend(0)
-    return MatchResult(len(matches), first[0])
+    pools = [0] * k  # per depth, the candidates not yet tried
+    used = [0] * k  # per depth, the atoms matched at shallower depths
+    last = k - 1
+    pools[0] = candidates[plan[0][0]]
+    depth = 0
+    while depth >= 0:
+        pool = pools[depth]
+        if not pool:
+            depth -= 1
+            continue
+        bit = pool & -pool
+        pools[depth] = pool ^ bit
+        q = plan[depth][0]
+        assignment[q] = bit.bit_length() - 1
+        if depth < last:
+            depth += 1
+            taken = used[depth] = used[depth - 1] | bit
+            q, back = plan[depth]
+            pool = candidates[q] & ~taken
+            for nb, kind in back:
+                pool &= bond_masks[kind][assignment[nb]]
+            pools[depth] = pool
+        elif used[depth] | bit not in matches:
+            matches.add(used[depth] | bit)
+            if first is None:
+                first = tuple(assignment)
+            if max_count is not None and len(matches) >= max_count:
+                break
+    return MatchResult(len(matches), first)
 
 
 def _query_order(query: QueryPattern, start: int) -> list[int]:

@@ -23,6 +23,8 @@ from molcap.cli import main
 from molcap.dataset import FEATURIZER_VERSION, read_cache
 from molcap.errors import NonFiniteLossError
 
+from util import DRUG_LIKE
+
 train_module = importlib.import_module("molcap.nn.train")
 
 OXYGEN = ["CCO", "CO", "OCC", "O", "CC(=O)C", "OC(C)C", "CCCO", "COC"]
@@ -166,6 +168,30 @@ def test_featurize_deterministic_cache_bytes(tmp_path) -> None:
     assert main(["featurize", "--in", str(csv_path), "--out", str(first), *args]) == 0
     assert main(["featurize", "--in", str(csv_path), "--out", str(second), *args]) == 0
     assert first.read_bytes() == second.read_bytes()
+
+
+def test_featurize_cache_bytes_independent_of_hash_seed(tmp_path) -> None:
+    # String and frozenset hashing differ between the two children, and
+    # each runs two featurize workers.
+    csv_path = tmp_path / "corpus.csv"
+    write_corpus(csv_path, extra_rows=[f"{s},{i % 2}" for i, s in enumerate(DRUG_LIKE)])
+    source_root = str(Path(cli.__file__).resolve().parents[1])
+    python_path = os.pathsep.join(filter(None, [source_root, os.environ.get("PYTHONPATH")]))
+    caches = []
+    for hash_seed in ("0", "1"):
+        out = tmp_path / f"seed{hash_seed}.cache"
+        proc = subprocess.run(
+            [sys.executable, "-m", "molcap.cli", "featurize", "--in", str(csv_path),
+             "--out", str(out), "--image-side", "40", "--label-col", "active",
+             "--workers", "2"],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": python_path, "PYTHONHASHSEED": hash_seed},
+        )
+        assert proc.returncode == 0, proc.stderr
+        caches.append(out.read_bytes())
+    assert len(read_cache(tmp_path / "seed0.cache").labels) > 16
+    assert caches[0] == caches[1]
 
 
 # SHA-256 of the cache the fixture's featurize call writes; a change in the

@@ -26,7 +26,7 @@ from molcap.smiles import parse_smiles
 from molcap.substructure import match_subgraph
 
 from test_substructure import oracle_match_sets
-from util import featurize_corpus, permute_graph, random_smiles
+from util import WIDE_MOLECULES, featurize_corpus, permute_graph, random_smiles
 
 CORPUS = [
     "C",
@@ -354,6 +354,19 @@ def test_key_bits_match_recorded_digest(definitions) -> None:
     for smiles in featurize_corpus():
         digest.update(bytes(evaluate_keys(parse_smiles(smiles), definitions).bits))
     assert digest.hexdigest() == KEY_BITS_SHA256
+
+
+# SHA-256 of the concatenated key bits of ``WIDE_MOLECULES``, recorded with
+# the list-and-set matcher: molecules of more than 64 atoms whose matches
+# lie past atom 63 must answer as they did before bitmask matching.
+WIDE_KEY_BITS_SHA256 = "a5492a5d39633242c5a2464e60e2985c82d4bee5d34b634b2b0b560f56424248"
+
+
+def test_wide_molecule_key_bits_match_recorded_digest(definitions) -> None:
+    digest = hashlib.sha256()
+    for smiles in WIDE_MOLECULES:
+        digest.update(bytes(evaluate_keys(parse_smiles(smiles), definitions).bits))
+    assert digest.hexdigest() == WIDE_KEY_BITS_SHA256
 
 
 # --------------------------------------------------------------------------

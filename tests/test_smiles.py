@@ -8,6 +8,7 @@ import pytest
 
 from molcap.errors import (
     InvalidValenceError,
+    MalformedSmilesError,
     MolcapError,
     SmilesError,
     UnbalancedBranchError,
@@ -250,6 +251,18 @@ def test_branch_and_ring_errors():
         parse_smiles("C11")
     with pytest.raises(UnclosedRingBondError):
         parse_smiles("C12CC12")  # second closure duplicates the first bond
+
+
+@pytest.mark.parametrize("smiles", ["C=1CCCCC=1", "C=1CCCCC1", "C1CCCCC=1"])
+def test_ring_closure_bond_symbol_on_one_or_both_ends(smiles):
+    graph = parse_smiles(smiles)
+    assert graph.bond_between(0, 5).order == BondOrder.DOUBLE
+
+
+@pytest.mark.parametrize("smiles", ["C=1CCCCC-1", "C-1CCCCC=1", "C#1CCCC=1", "C=%12CCCCC-%12"])
+def test_ring_closure_with_conflicting_bond_symbols_fails(smiles):
+    with pytest.raises(MalformedSmilesError, match="conflicting bond symbols"):
+        parse_smiles(smiles)
 
 
 def test_two_digit_ring_closure():

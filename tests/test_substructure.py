@@ -9,6 +9,7 @@ against a reference copy of the earlier index-order matcher.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import random
 
@@ -27,7 +28,7 @@ from molcap.substructure import (
     parse_query,
 )
 
-from util import featurize_corpus, permute_graph, random_smiles
+from util import WIDE_MOLECULES, featurize_corpus, permute_graph, random_smiles
 
 
 # --------------------------------------------------------------------------
@@ -308,6 +309,60 @@ def test_key_patterns_match_reference_on_corpus() -> None:
                     assert result.first_mapping is None
 
 
+# SHA-256 over the (count, first_mapping) reprs of every pattern key on
+# every ``featurize_corpus()`` molecule, exact and capped at the key's
+# threshold, recorded with the list-and-set matcher.  The corpus test
+# above only checks that a first mapping is some embedding; this pins
+# which one, so it also catches a change in search order.
+MATCH_RESULTS_SHA256 = "e678455cd606150acf15a4004b40b4136b6e45640ca8071eb472f8e7ab467dec"
+
+
+def test_key_pattern_results_match_recorded_digest() -> None:
+    keys = [d for d in load_key_definitions() if d.query is not None]
+    digest = hashlib.sha256()
+    for smiles in featurize_corpus():
+        graph = parse_smiles(smiles)
+        index = MoleculeIndex(graph)
+        for d in keys:
+            for cap in (None, d.threshold):
+                result = match_subgraph(graph, d.query, max_count=cap, index=index)
+                digest.update(repr((result.count, result.first_mapping)).encode())
+    assert digest.hexdigest() == MATCH_RESULTS_SHA256
+
+
+def test_key_patterns_match_reference_past_atom_63() -> None:
+    keys = [d for d in load_key_definitions() if d.query is not None]
+    for smiles in WIDE_MOLECULES:
+        graph = parse_smiles(smiles)
+        assert len(graph.atoms) > 64
+        index = MoleculeIndex(graph)
+        beyond_one_word = 0
+        for d in keys:
+            expected = reference_match_subgraph(graph, d.query)
+            result = match_subgraph(graph, d.query, index=index)
+            assert result.count == expected.count, (smiles, d.index)
+            if result.first_mapping is not None:
+                assert _is_embedding(graph, d.query, result.first_mapping)
+                beyond_one_word += min(result.first_mapping) >= 64
+        assert beyond_one_word >= 5, smiles
+
+
+def test_candidate_masks_agree_with_atom_predicates() -> None:
+    rng = random.Random(5)
+    queries = [d.query for d in load_key_definitions() if d.query is not None]
+    queries += [_random_query(rng) for _ in range(200)]
+    queries += [parse_query(p) for p in ("[+]", "[-2]", "[!+0]", "[D4]", "[H0]", "[!#6;!#7]")]
+    for smiles in featurize_corpus(count=30) + ["C[N+](C)(C)C.[O-2]"]:
+        graph = parse_smiles(smiles)
+        index = MoleculeIndex(graph)
+        for query in queries:
+            expected = [
+                sum(1 << m for m in range(len(graph.atoms)) if atom.matches(graph, m))
+                for atom in query.atoms
+            ]
+            assert index.candidates(query) == expected, (smiles, query)
+
+
 def test_shared_index_gives_the_same_result_as_a_fresh_one() -> None:
     graph = parse_smiles("CC(C)Cc1ccc(cc1)C(C)C(=O)O")
     index = MoleculeIndex(graph)
@@ -472,9 +527,18 @@ def test_two_letter_elements_in_brackets() -> None:
 
 
 def test_ring_closure_with_bond_symbol() -> None:
-    query = parse_query("C=1CCCCC1")
-    ring_bond = [b for b in query.bonds if {b.a, b.b} == {0, 5}]
-    assert len(ring_bond) == 1 and ring_bond[0].kind == "double"
+    # On either end, or the same symbol on both.
+    for pattern in ("C=1CCCCC1", "C1CCCCC=1", "C=1CCCCC=1"):
+        query = parse_query(pattern)
+        ring_bond = [b for b in query.bonds if {b.a, b.b} == {0, 5}]
+        assert len(ring_bond) == 1 and ring_bond[0].kind == "double"
+
+
+@pytest.mark.parametrize("pattern", ["C-1CCC=1", "C=1CCC-1", "C~1CCC-1", "C:1ccc=1"])
+def test_ring_closure_with_conflicting_bond_symbols_fails(pattern: str) -> None:
+    with pytest.raises(MalformedPatternError) as excinfo:
+        parse_query(pattern)
+    assert excinfo.value.position == len(pattern) - 1
 
 
 def test_percent_ring_closure() -> None:

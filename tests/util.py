@@ -33,6 +33,16 @@ DRUG_LIKE = (
     "CC1(C)SC2C(NC(=O)Cc3ccccc3)C(=O)N2C1C(=O)O",
 )
 
+# Molecules of more than 64 heavy atoms whose heteroatoms, rings and
+# charged groups sit past atom 63, so substructure masks must be wider
+# than one machine word.
+WIDE_MOLECULES = (
+    "C" * 64 + "c1ccc(cc1)C(=O)Nc1ccc(Cl)cc1S(=O)(=O)N",
+    "NCC(=O)" * 22 + "NC(CS)C(=O)O",
+    "C" * 65 + "1CCC2(CC1)OCCO2.Brc1cc[nH]c1C#N",
+    "c1ccc2ccccc2c1" + "CCc1ccc(cc1)" * 8 + "C[N+](C)(C)CC(=O)[O-]",
+)
+
 _CAPACITY = {"C": 4, "N": 3, "O": 2, "S": 2, "P": 3, "F": 1, "Cl": 1, "Br": 1, "I": 1}
 _WEIGHTED = ["C"] * 8 + ["N", "N", "O", "O", "S", "F", "Cl", "Br", "P", "I"]
 
