@@ -325,6 +325,14 @@ def _placed_bonds(
     return table[:, 0], table[:, 1], table[:, 2]
 
 
+def _local_bonds(
+    graph: MolecularGraph, indices: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Bond ends (a, b) between placed atoms, as rows of the sorted ``indices``."""
+    bond_a, bond_b, _ = _placed_bonds(graph, indices)
+    return np.searchsorted(indices, bond_a), np.searchsorted(indices, bond_b)
+
+
 def _bond_vectors(
     positions: np.ndarray, bond_a: np.ndarray, bond_b: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -338,29 +346,36 @@ def _bond_vectors(
     return delta, np.sqrt(delta[:, None, :] @ delta[:, :, None])[:, 0, 0]
 
 
-def _distances_ok(
-    positions: np.ndarray, indices: np.ndarray, bond_a: np.ndarray, bond_b: np.ndarray
-) -> bool:
-    _, lengths = _bond_vectors(positions, bond_a, bond_b)
+def _geometry(
+    xy: np.ndarray, bond_a: np.ndarray, bond_b: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Bond vectors and lengths, pairwise offsets and distances of (2, m) coordinates.
+
+    ``offsets[c, i, j]`` is coordinate c of atom j minus that of atom i,
+    so a C-contiguous ``xy`` gives one contiguous (m, m) array per axis;
+    ``distances`` has an infinite diagonal.
+    """
+    delta, lengths = _bond_vectors(xy.T, bond_a, bond_b)
+    offsets = xy[:, None, :] - xy[:, :, None]
+    distances = np.sqrt((offsets * offsets).sum(axis=0))
+    np.fill_diagonal(distances, np.inf)
+    return delta, lengths, offsets, distances
+
+
+def _distances_ok(lengths: np.ndarray, distances: np.ndarray) -> bool:
     within = (1.0 - BOND_TOLERANCE <= lengths) & (lengths <= 1.0 + BOND_TOLERANCE)
     if not within.all():
         return False
-    coords = positions[indices]
-    if len(coords) > 1:
-        deltas = coords[:, None, :] - coords[None, :, :]
-        distances = np.sqrt((deltas**2).sum(axis=2))
-        np.fill_diagonal(distances, np.inf)
-        if distances.min() < MIN_SEPARATION:
-            return False
-    return True
+    return not (len(distances) > 1 and distances.min() < MIN_SEPARATION)
 
 
 def _constraints_ok(
     graph: MolecularGraph, positions: np.ndarray, indices: np.ndarray
 ) -> bool:
     """Every placed bond within 15% of unit length, no pair under 0.5."""
-    bond_a, bond_b, _ = _placed_bonds(graph, indices)
-    return _distances_ok(positions, indices, bond_a, bond_b)
+    bond_a, bond_b = _local_bonds(graph, indices)
+    _, lengths, _, distances = _geometry(positions[indices].T, bond_a, bond_b)
+    return _distances_ok(lengths, distances)
 
 
 def _relax(
@@ -368,32 +383,35 @@ def _relax(
 ) -> None:
     """Force-directed cleanup: bond springs plus short-range repulsion.
 
-    Vectorized over bonds and atoms with the arithmetic of a per-bond
-    loop: each spring term is added with one ``np.add.at`` over the
-    interleaved end atoms (a0, b0, a1, b1, ...), so every atom sums its
-    terms in bond order, and each placed atom takes its repulsion once.
+    Moves only the placed rows, held as split (2, m) coordinates and
+    written back at the end; unplaced NaN rows are never touched.  One
+    :func:`_geometry` pass per iteration serves both that iteration's
+    convergence check and the next one's forces.  The arithmetic is that
+    of a per-bond loop: one ``np.bincount`` over the interleaved end atoms
+    (a0, b0, a1, b1, ...), with x and y terms in separate bins, adds every
+    atom's spring terms in bond order from 0, and repulsion sums ``offsets
+    * push`` over the leading atom axis, which adds the other atoms in
+    index order without pairwise-summation blocks.
     """
-    bond_a, bond_b, _ = _placed_bonds(graph, indices)
+    bond_a, bond_b = _local_bonds(graph, indices)
+    m = len(indices)
     ends = np.empty(2 * len(bond_a), dtype=np.intp)
     ends[0::2] = bond_a
     ends[1::2] = bond_b
-    terms = np.empty((len(ends), 2))
+    bins = np.concatenate([ends, ends + m])
+    terms = np.empty((2, len(ends)))
+    xy = positions[indices].T.copy()
+    delta, lengths, offsets, distances = _geometry(xy, bond_a, bond_b)
     for _ in range(MAX_RELAX_ITERATIONS):
-        forces = np.zeros_like(positions)
-        delta, lengths = _bond_vectors(positions, bond_a, bond_b)
         degenerate = lengths < 1e-9
         if degenerate.any():
             delta[degenerate] = (1e-3, 0.0)
             lengths[degenerate] = 1e-3
         stretch = (lengths - 1.0) / lengths
-        spring = (0.5 * stretch)[:, None] * delta
-        terms[0::2] = spring
-        terms[1::2] = -spring
-        np.add.at(forces, ends, terms)
-        coords = positions[indices]
-        deltas = coords[:, None, :] - coords[None, :, :]
-        distances = np.sqrt((deltas**2).sum(axis=2))
-        np.fill_diagonal(distances, np.inf)
+        spring = (0.5 * stretch) * delta.T
+        terms[:, 0::2] = spring
+        terms[:, 1::2] = -spring
+        forces = np.bincount(bins, terms.ravel(), 2 * m).reshape(2, m)
         too_close = distances < 0.9
         if too_close.any():
             push = np.zeros_like(distances)
@@ -403,16 +421,17 @@ def _relax(
                 out=push,
                 where=too_close,
             )
-            repulsion = (deltas * push[:, :, None]).sum(axis=1)
-            forces[indices] += 0.5 * repulsion
+            forces += 0.5 * (offsets * push).sum(axis=1)
         step = 0.3 * forces
-        magnitude = np.sqrt((step**2).sum(axis=1, keepdims=True))
+        magnitude = np.sqrt((step * step).sum(axis=0))
         step = np.where(magnitude > 0.2, step * 0.2 / np.maximum(magnitude, 1e-12), step)
-        positions += step
-        if float(np.abs(step[indices]).max()) < 1e-5:
+        xy += step
+        if float(np.abs(step).max()) < 1e-5:
             break
-        if _distances_ok(positions, indices, bond_a, bond_b):
+        delta, lengths, offsets, distances = _geometry(xy, bond_a, bond_b)
+        if _distances_ok(lengths, distances):
             break
+    positions[indices] = xy.T
 
 
 # --------------------------------------------------------------------------

@@ -26,8 +26,10 @@ numbering.
 from __future__ import annotations
 
 import os
+from collections import Counter
 from dataclasses import dataclass
 from importlib import resources
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -190,9 +192,17 @@ def _build_definition(
 
 
 def _key_count(
-    graph: MolecularGraph, definition: KeyDefinition, index: MoleculeIndex
+    graph: MolecularGraph,
+    definition: KeyDefinition,
+    index: MoleculeIndex,
+    elements: Counter[int],
+    ring_sizes: Counter[int],
 ) -> int:
-    """Count occurrences, stopping at the threshold where possible."""
+    """Count occurrences, stopping at the threshold where possible.
+
+    ``elements`` and ``ring_sizes`` count the molecule's atoms by element
+    and its basis rings by size.
+    """
     if definition.kind in ("pattern", "pattern-count"):
         assert definition.query is not None
         return match_subgraph(
@@ -200,12 +210,12 @@ def _key_count(
         ).count
     if definition.kind == "element-count":
         assert definition.elements is not None
-        return sum(1 for atom in graph.atoms if atom.element in definition.elements)
+        return sum(map(elements.get, definition.elements, repeat(0)))
     if definition.kind == "ring-size":
         assert definition.ring_size is not None
         if definition.ring_or_larger:
-            return sum(1 for ring in graph.rings if len(ring) >= definition.ring_size)
-        return sum(1 for ring in graph.rings if len(ring) == definition.ring_size)
+            return sum(n for size, n in ring_sizes.items() if size >= definition.ring_size)
+        return ring_sizes.get(definition.ring_size, 0)
     return 0
 
 
@@ -223,13 +233,19 @@ def evaluate_keys(
         threshold.
 
     One :class:`~molcap.substructure.MoleculeIndex` of ``graph`` is built
-    here and shared by every pattern key.
+    here and shared by every pattern key; atoms are counted by element
+    and rings by size once, for every element-count and ring-size key.
     """
     if len(definitions) != N_KEYS:
         raise KeyFileError(f"expected {N_KEYS} definitions, got {len(definitions)}")
     index = MoleculeIndex(graph)
+    elements = Counter(atom.element for atom in graph.atoms)
+    ring_sizes = Counter(len(ring) for ring in graph.rings)
     bits = tuple(
-        1 if _key_count(graph, definition, index) >= definition.threshold else 0
+        1
+        if _key_count(graph, definition, index, elements, ring_sizes)
+        >= definition.threshold
+        else 0
         for definition in definitions
     )
     return KeyVector(bits=bits)

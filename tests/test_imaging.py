@@ -32,7 +32,7 @@ from molcap.imaging import (
 )
 from molcap.smiles import BondOrder, MolecularGraph, parse_smiles
 
-from util import random_smiles
+from util import WIDE_MOLECULES, random_smiles
 
 
 def _pair_distances(layout: Layout2D) -> np.ndarray:
@@ -254,6 +254,83 @@ def test_relax_matches_reference_loop_byte_for_byte(monkeypatch) -> None:
     # The full iteration budget runs on every failure: cover it.
     assert len(failed) >= 50
     assert positions == expected_positions
+
+
+# Molecules the placer cannot draw: bridged (norbornane, cubane) and a
+# crowded acyclic centre.
+NAMED_LAYOUT_FAILURES = (
+    "C1CC2CCC1C2",
+    "C12C3C4C1C5C2C3C45",
+    "CC(C)(C)C(C(C)(C)C)(C(C)(C)C)C(C)(C)C(C)(C)C(C)(C)C",
+)
+
+
+def test_relax_matches_reference_loop_on_molecules_wider_than_a_summation_block(
+    monkeypatch,
+) -> None:
+    # NumPy sums a contiguous axis in blocks of 8; these molecules place
+    # up to 95 atoms, so a repulsion summed in any other order shows.
+    rng = random.Random(5)
+    smiles = list(WIDE_MOLECULES) + list(NAMED_LAYOUT_FAILURES)
+    smiles += [random_smiles(rng, max_atoms=40, ring_bias=0.9) for _ in range(200)]
+    graphs = [parse_smiles(s) for s in smiles]
+    relaxed_sizes = []
+    original_relax = molcap.imaging._relax
+
+    def recording_relax(graph, positions, indices) -> None:
+        relaxed_sizes.append(len(indices))
+        original_relax(graph, positions, indices)
+
+    monkeypatch.setattr(molcap.imaging, "_relax", recording_relax)
+    positions, failed = _layouts(graphs)
+    monkeypatch.setattr(molcap.imaging, "_relax", reference_relax)
+    monkeypatch.setattr(molcap.imaging, "_constraints_ok", reference_constraints_ok)
+    expected_positions, expected_failed = _layouts(graphs)
+    named = set(range(len(WIDE_MOLECULES), len(WIDE_MOLECULES) + len(NAMED_LAYOUT_FAILURES)))
+    assert named <= failed
+    assert failed == expected_failed
+    assert sum(size > 8 for size in relaxed_sizes) >= 50
+    assert positions == expected_positions
+
+
+# Hand-made starting positions, each reaching one branch of the relax step.
+RELAX_CASES = {
+    # A bonded pair at one point: the degenerate-bond branch.
+    "bonded pair at one point": ("CC", [(0.0, 0.0), (0.0, 0.0)]),
+    # Two unbonded atoms (0 and 2) at one point: repulsion at distance 0,
+    # then at short range once the springs pull them apart.
+    "unbonded pair at one point": (
+        "CCCC",
+        [(0.0, 0.0), (1.5, 0.0), (0.0, 0.0), (0.0, 1.2)],
+    ),
+    # Springs stretched far enough that the step is clamped to 0.2.
+    "far apart": ("CCC", [(0.0, 0.0), (6.0, 0.0), (6.0, 7.5)]),
+    # Twelve atoms squeezed onto a small circle: repulsion over more
+    # atoms than one summation block.
+    "squeezed ring": (
+        "C1CCCCCCCCCCC1",
+        [(0.3 * math.cos(k * math.pi / 6), 0.3 * math.sin(k * math.pi / 6)) for k in range(12)],
+    ),
+    # Only the larger fragment is placed; its rows sit after the NaN rows
+    # of the smaller one, which must come back unchanged.
+    "disconnected": (
+        "CC.CC(C)C",
+        [(math.nan, math.nan)] * 2 + [(0.0, 0.0), (0.4, 0.1), (0.5, 0.2), (3.0, -1.0)],
+    ),
+}
+
+
+@pytest.mark.parametrize("smiles, start", RELAX_CASES.values(), ids=list(RELAX_CASES))
+def test_relax_matches_reference_from_hand_made_positions(smiles, start) -> None:
+    graph = parse_smiles(smiles)
+    positions = np.array(start)
+    placed = ~np.isnan(positions[:, 0])
+    indices = np.flatnonzero(placed)
+    expected = positions.copy()
+    reference_relax(graph, expected, indices)
+    molcap.imaging._relax(graph, positions, indices)
+    assert positions.tobytes() == expected.tobytes()
+    assert np.isnan(positions[~placed]).all()
 
 
 # Failures and SHA-256 over the 500 seeded ring-rich molecules, recorded
