@@ -46,9 +46,9 @@ from .fingerprints import (
     check_fingerprint_width,
     morgan_fingerprint,
 )
-from .imaging import DEFAULT_SIDE, ChemImage, layout_2d, rasterize
+from .imaging import DEFAULT_SIDE, ChemImage, layout_2d, place_atoms, rasterize, relax_layouts
 from .maccs import N_KEYS, KeyDefinition, KeyVector, evaluate_keys, load_key_definitions
-from .smiles import parse_smiles
+from .smiles import MolecularGraph, parse_smiles
 
 __all__ = [
     "LabeledMolecule",
@@ -212,21 +212,51 @@ def load_csv(
 
 _WORKER_STATE: dict = {}
 
+# Molecules featurized together inline; the relax runs once per chunk.
+_CHUNK = 256
+
+
+def _featurize_chunk(
+    molecules: Sequence[LabeledMolecule],
+    side: int,
+    radius: int,
+    nbits: int,
+    definitions: list[KeyDefinition],
+) -> list[CaptionedExample | str]:
+    """Per molecule, an example or the exclusion reason string.
+
+    Every parsed molecule is placed, all placements are relaxed in one
+    batched pass, and each molecule then goes through its own layout
+    check, raster, fingerprint and keys.
+    """
+    results: list[CaptionedExample | str] = [REASON_PARSE] * len(molecules)
+    parsed = []
+    for index, molecule in enumerate(molecules):
+        try:
+            parsed.append((index, parse_smiles(molecule.smiles)))
+        except SmilesError:
+            pass
+    placements = [place_atoms(graph) for _, graph in parsed]
+    relax_layouts([graph for _, graph in parsed], placements)
+    for (index, graph), positions in zip(parsed, placements):
+        results[index] = _featurize_one(
+            molecules[index], graph, positions, side, radius, nbits, definitions
+        )
+    return results
+
 
 def _featurize_one(
     molecule: LabeledMolecule,
+    graph: MolecularGraph,
+    positions: np.ndarray,
     side: int,
     radius: int,
     nbits: int,
     definitions: list[KeyDefinition],
 ) -> CaptionedExample | str:
-    """One molecule to an example, or the exclusion reason string."""
+    """One parsed and relaxed molecule to an example, or the exclusion reason."""
     try:
-        graph = parse_smiles(molecule.smiles)
-    except SmilesError:
-        return REASON_PARSE
-    try:
-        layout = layout_2d(graph)
+        layout = layout_2d(graph, positions)
     except LayoutFailureError:
         return REASON_LAYOUT
     try:
@@ -245,8 +275,8 @@ def _init_worker(side: int, radius: int, nbits: int, definitions) -> None:
     _WORKER_STATE["args"] = (side, radius, nbits, definitions)
 
 
-def _worker_featurize(molecule: LabeledMolecule) -> CaptionedExample | str:
-    return _featurize_one(molecule, *_WORKER_STATE["args"])
+def _worker_featurize(molecules: Sequence[LabeledMolecule]) -> list[CaptionedExample | str]:
+    return _featurize_chunk(molecules, *_WORKER_STATE["args"])
 
 
 def check_image_side(side: int) -> None:
@@ -271,6 +301,14 @@ def featurize_dataset(
     workers: int = 1,
 ) -> tuple[list[CaptionedExample], ExclusionReport]:
     """Featurize a corpus, excluding molecules that cannot be drawn.
+
+    Molecules go through in chunks of at most 256; with several workers
+    each pool task is one chunk of at most ceil(n / workers) molecules.
+    A chunk parses and places every molecule, relaxes all placements in
+    one batched pass (size buckets of padded coordinates, each molecule
+    with its own exits), then checks each layout with :func:`layout_2d`
+    and draws, fingerprints and keys it.  Every output byte is the same
+    for any chunking and worker count.
 
     Args:
         molecules: Loaded corpus, order preserved in the output.
@@ -300,17 +338,18 @@ def featurize_dataset(
     if definitions is None:
         definitions = load_key_definitions()
     workers = min(workers, len(molecules))
+    size = min(_CHUNK, math.ceil(len(molecules) / workers)) if molecules else 1
+    chunks = [molecules[i : i + size] for i in range(0, len(molecules), size)]
     if workers > 1:
         with multiprocessing.Pool(
             workers,
             initializer=_init_worker,
             initargs=(side, radius, nbits, definitions),
         ) as pool:
-            results = pool.map(_worker_featurize, molecules, chunksize=64)
+            parts = pool.map(_worker_featurize, chunks, chunksize=1)
     else:
-        results = [
-            _featurize_one(m, side, radius, nbits, definitions) for m in molecules
-        ]
+        parts = [_featurize_chunk(c, side, radius, nbits, definitions) for c in chunks]
+    results = [result for part in parts for result in part]
 
     examples: list[CaptionedExample] = []
     excluded: list[tuple[int, str, str]] = []

@@ -1,12 +1,22 @@
 """2D coordinate generation and fixed-size rasterization.
 
-Layout places rings as regular polygons with unit sides (fused rings
-reflected across the shared edge, spiro rings tangent at the shared
-atom), then grows acyclic substituents outward, each new atom taking the
-direction bisecting the largest free angular gap around its parent.  If
-the result violates the distance constraints, up to 200 deterministic
-force-directed iterations repair it; failure to reach the constraints
-raises LayoutFailureError.
+Layout runs in three steps.  Placement puts rings down as regular
+polygons with unit sides (fused rings reflected across the shared edge,
+spiro rings tangent at the shared atom), then grows acyclic substituents
+outward, each new atom taking the direction bisecting the largest free
+angular gap around its parent.  If the result violates the distance
+constraints, up to 200 deterministic force-directed iterations repair
+it.  The constraint check then raises LayoutFailureError when they are
+still unmet.
+
+The relax runs on many molecules at once: :func:`relax_layouts` sorts
+them by placed-atom count and packs them into size buckets of padded
+(B, 2, M) coordinates, at most RELAX_BUCKET_PAIRS padded pairs each.  A
+precomputed mask adds +inf to the distance of every pair with a padded
+atom, so padded atoms never repel, and each molecule leaves its bucket on
+its own exits.  Every position is byte for byte the one that
+:func:`layout_2d` gives the molecule alone, which relaxes it as a
+bucket of one.
 
 Rasterization maps bond-length units onto 3 pixels each, centers the
 molecule on the grid (60 x 60 unless asked otherwise), draws every bond
@@ -26,6 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -36,6 +47,8 @@ __all__ = [
     "Layout2D",
     "ChemImage",
     "layout_2d",
+    "place_atoms",
+    "relax_layouts",
     "rasterize",
     "render_molecule",
     "write_pgm",
@@ -48,6 +61,9 @@ PIXELS_PER_UNIT = 3
 BOND_TOLERANCE = 0.15
 MIN_SEPARATION = 0.5
 MAX_RELAX_ITERATIONS = 200
+# A relax bucket of B molecules padded to M atoms has B * M * M <= this
+# many pairs, so each of its (B, 2, M, M) arrays stays near 1 MB.
+RELAX_BUCKET_PAIRS = 2**16
 
 
 @dataclass
@@ -86,11 +102,15 @@ class ChemImage:
 # Layout
 
 
-def layout_2d(graph: MolecularGraph) -> Layout2D:
+def layout_2d(graph: MolecularGraph, relaxed: np.ndarray | None = None) -> Layout2D:
     """Assign 2D coordinates to the largest connected component.
 
     Args:
         graph: Parsed molecule.
+        relaxed: Coordinates that :func:`place_atoms` and
+            :func:`relax_layouts` already produced for ``graph``, to be
+            checked and wrapped as they are; placed and relaxed here
+            when omitted.
 
     Returns:
         Layout with bonded atoms at unit distance (within 15%) and no
@@ -100,10 +120,35 @@ def layout_2d(graph: MolecularGraph) -> Layout2D:
         LayoutFailureError: Constraints unreachable within the iteration
             budget (typically crowded bridged polycyclics).
     """
+    positions = place_atoms(graph) if relaxed is None else relaxed
+    placed = ~np.isnan(positions[:, 0])
+    if not placed.any():
+        return Layout2D(positions, placed, (0.0, 0.0))
+    indices = np.flatnonzero(placed)
+    met = _constraints_ok(graph, positions, indices)
+    if not met and relaxed is None:
+        _relax(graph, positions, indices)
+        met = _constraints_ok(graph, positions, indices)
+    if not met:
+        raise LayoutFailureError(
+            "could not reach distance constraints within "
+            f"{MAX_RELAX_ITERATIONS} iterations"
+        )
+
+    box = tuple(float(extent) for extent in np.ptp(positions[indices], axis=0))
+    return Layout2D(positions=positions, placed=placed, bounding_box=box)
+
+
+def place_atoms(graph: MolecularGraph) -> np.ndarray:
+    """(n, 2) coordinates of the largest component before any relax.
+
+    Ring systems become polygons and substituents grow into the widest
+    free gap; rows of atoms outside the component are NaN.
+    """
     n = len(graph.atoms)
     positions = np.full((n, 2), np.nan)
     if n == 0:
-        return Layout2D(positions, np.zeros(0, dtype=bool), (0.0, 0.0))
+        return positions
 
     components = graph.connected_components()
     component = max(components, key=len)
@@ -145,20 +190,7 @@ def layout_2d(graph: MolecularGraph) -> Layout2D:
                     place_ring_system(system, neighbor)
             seen.add(neighbor)
             queue.append(neighbor)
-
-    indices = np.array(sorted(placed))
-    if not _constraints_ok(graph, positions, indices):
-        _relax(graph, positions, indices)
-        if not _constraints_ok(graph, positions, indices):
-            raise LayoutFailureError(
-                "could not reach distance constraints within "
-                f"{MAX_RELAX_ITERATIONS} iterations"
-            )
-
-    box = tuple(float(extent) for extent in np.ptp(positions[indices], axis=0))
-    placed_mask = np.zeros(n, dtype=bool)
-    placed_mask[indices] = True
-    return Layout2D(positions=positions, placed=placed_mask, bounding_box=box)
+    return positions
 
 
 def _ring_systems(
@@ -346,62 +378,160 @@ def _bond_vectors(
     return delta, np.sqrt(delta[:, None, :] @ delta[:, :, None])[:, 0, 0]
 
 
-def _geometry(
-    xy: np.ndarray, bond_a: np.ndarray, bond_b: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Bond vectors and lengths, pairwise offsets and distances of (2, m) coordinates.
+class _Job(NamedTuple):
+    """One molecule to check or relax: its (n, 2) coordinates, updated in
+    place, the sorted rows of its placed atoms and its bonds between them
+    as positions in ``indices``."""
 
-    ``offsets[c, i, j]`` is coordinate c of atom j minus that of atom i,
-    so a C-contiguous ``xy`` gives one contiguous (m, m) array per axis;
-    ``distances`` has an infinite diagonal.
+    positions: np.ndarray
+    indices: np.ndarray
+    bond_a: np.ndarray
+    bond_b: np.ndarray
+
+
+def _job(graph: MolecularGraph, positions: np.ndarray, indices: np.ndarray) -> _Job:
+    return _Job(positions, indices, *_local_bonds(graph, indices))
+
+
+def _buckets(jobs: list[_Job]) -> list[list[_Job]]:
+    """Jobs sorted by placed-atom count, cut so that B molecules padded to
+    the widest one's M atoms hold at most RELAX_BUCKET_PAIRS pairs."""
+    buckets: list[list[_Job]] = []
+    for job in sorted(jobs, key=lambda job: len(job.indices)):
+        width = len(job.indices)
+        if buckets and (len(buckets[-1]) + 1) * width * width <= RELAX_BUCKET_PAIRS:
+            buckets[-1].append(job)
+        else:
+            buckets.append([job])
+    return buckets
+
+
+def _pack(jobs: list[_Job]) -> tuple[np.ndarray, np.ndarray]:
+    """Padded (B, 2, M) coordinates of ``jobs`` and their (B, M, M) pair
+    mask: +inf on the diagonal and on every pair with a padded atom, 0
+    elsewhere."""
+    sizes = np.array([len(job.indices) for job in jobs])
+    width = int(sizes.max())
+    xy = np.zeros((len(jobs), 2, width))
+    for row, job in zip(xy, jobs):
+        row[:, : len(job.indices)] = job.positions[job.indices].T
+    real = np.arange(width) < sizes[:, None]
+    mask = np.where(real[:, :, None] & real[:, None, :], 0.0, np.inf)
+    mask.reshape(len(jobs), -1)[:, :: width + 1] = np.inf
+    return xy, mask
+
+
+def _bucket_bonds(
+    jobs: list[_Job], width: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Every bond of ``jobs`` in order: its row, its ends as rows of the
+    flattened (B * M, 2) atoms, and the bins of its spring terms in the
+    flattened (B, 2, M) forces.
+
+    Each row's bins keep a per-bond loop's order: end atoms interleaved
+    (a0, b0, a1, b1, ...), x bins before y bins.
     """
-    delta, lengths = _bond_vectors(xy.T, bond_a, bond_b)
-    offsets = xy[:, None, :] - xy[:, :, None]
-    distances = np.sqrt((offsets * offsets).sum(axis=0))
-    np.fill_diagonal(distances, np.inf)
+    mol = np.repeat(np.arange(len(jobs)), [len(job.bond_a) for job in jobs])
+    first = mol * width
+    ends_a = np.concatenate([job.bond_a for job in jobs]) + first
+    ends_b = np.concatenate([job.bond_b for job in jobs]) + first
+    ends = np.empty(2 * len(mol), dtype=np.intp)
+    ends[0::2] = ends_a + first
+    ends[1::2] = ends_b + first
+    return mol, ends_a, ends_b, np.concatenate([ends, ends + width])
+
+
+def _geometry(
+    xy: np.ndarray, ends_a: np.ndarray, ends_b: np.ndarray, mask: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Bond vectors and lengths, pairwise offsets and distances of (B, 2, M) coordinates.
+
+    ``offsets[r, c, i, j]`` is coordinate c of atom j minus that of atom i
+    in row r, one contiguous (M, M) array per row and axis.  ``mask``
+    leaves every real distance as computed and makes the diagonal and
+    every pair with a padded atom infinite.
+    """
+    delta, lengths = _bond_vectors(xy.transpose(0, 2, 1).reshape(-1, 2), ends_a, ends_b)
+    offsets = xy[:, :, None, :] - xy[:, :, :, None]
+    distances = np.sqrt((offsets * offsets).sum(axis=1)) + mask
     return delta, lengths, offsets, distances
 
 
-def _distances_ok(lengths: np.ndarray, distances: np.ndarray) -> bool:
+def _met(lengths: np.ndarray, distances: np.ndarray, mol: np.ndarray) -> np.ndarray:
+    """Per row: every bond within 15% of unit length, no pair under 0.5."""
     within = (1.0 - BOND_TOLERANCE <= lengths) & (lengths <= 1.0 + BOND_TOLERANCE)
-    if not within.all():
-        return False
-    return not (len(distances) > 1 and distances.min() < MIN_SEPARATION)
+    bonds_ok = np.bincount(mol[~within], minlength=len(distances)) == 0
+    return bonds_ok & ~(distances.min(axis=(1, 2)) < MIN_SEPARATION)
+
+
+def _constraints_met(jobs: list[_Job]) -> np.ndarray:
+    """:func:`_met` of one bucket of jobs, in their order."""
+    xy, mask = _pack(jobs)
+    mol, ends_a, ends_b, _ = _bucket_bonds(jobs, xy.shape[2])
+    _, lengths, _, distances = _geometry(xy, ends_a, ends_b, mask)
+    return _met(lengths, distances, mol)
 
 
 def _constraints_ok(
     graph: MolecularGraph, positions: np.ndarray, indices: np.ndarray
 ) -> bool:
     """Every placed bond within 15% of unit length, no pair under 0.5."""
-    bond_a, bond_b = _local_bonds(graph, indices)
-    _, lengths, _, distances = _geometry(positions[indices].T, bond_a, bond_b)
-    return _distances_ok(lengths, distances)
+    return bool(_constraints_met([_job(graph, positions, indices)])[0])
+
+
+def relax_layouts(graphs: Sequence[MolecularGraph], placements: Sequence[np.ndarray]) -> None:
+    """Relax, in place, every placement that misses the distance constraints.
+
+    ``placements[k]`` holds :func:`place_atoms` coordinates of
+    ``graphs[k]``.  Both the constraint check and the relax run on size
+    buckets of molecules at once, and each placement comes out with the
+    bytes that :func:`layout_2d` gives it alone.
+    """
+    jobs = [
+        _job(graph, positions, np.flatnonzero(~np.isnan(positions[:, 0])))
+        for graph, positions in zip(graphs, placements)
+        if len(positions)
+    ]
+    missed = [
+        job
+        for bucket in _buckets(jobs)
+        for job, met in zip(bucket, _constraints_met(bucket))
+        if not met
+    ]
+    for bucket in _buckets(missed):
+        _relax_bucket(bucket)
 
 
 def _relax(
     graph: MolecularGraph, positions: np.ndarray, indices: np.ndarray
 ) -> None:
+    """Force-directed cleanup of one molecule: a bucket of one."""
+    _relax_bucket([_job(graph, positions, indices)])
+
+
+def _relax_bucket(jobs: list[_Job]) -> None:
     """Force-directed cleanup: bond springs plus short-range repulsion.
 
-    Moves only the placed rows, held as split (2, m) coordinates and
-    written back at the end; unplaced NaN rows are never touched.  One
-    :func:`_geometry` pass per iteration serves both that iteration's
-    convergence check and the next one's forces.  The arithmetic is that
-    of a per-bond loop: one ``np.bincount`` over the interleaved end atoms
-    (a0, b0, a1, b1, ...), with x and y terms in separate bins, adds every
-    atom's spring terms in bond order from 0, and repulsion sums ``offsets
-    * push`` over the leading atom axis, which adds the other atoms in
-    index order without pairwise-summation blocks.
+    Moves only the placed rows, held as padded (B, 2, M) coordinates and
+    written back when a molecule leaves; unplaced NaN rows are never
+    touched.  Every iteration is one set of NumPy calls for the whole
+    bucket, and each molecule leaves on its own exits: a step under 1e-5,
+    met constraints after its step, or the end of its iteration budget.
+    One :func:`_geometry` pass per iteration serves both that iteration's
+    check and the next one's forces.
+
+    The arithmetic is that of a per-bond loop run on each molecule alone.
+    One ``np.bincount`` adds every atom's spring terms in bond order from
+    0 (see :func:`_bucket_bonds`), and repulsion sums ``offsets * push``
+    over the leading atom axis, which adds the other atoms in index order
+    without pairwise-summation blocks.  Padded atoms come after the real
+    ones and add only signed zeros; the diagonal's +0 comes first, so no
+    real partial sum is -0 and the padding changes no byte.
     """
-    bond_a, bond_b = _local_bonds(graph, indices)
-    m = len(indices)
-    ends = np.empty(2 * len(bond_a), dtype=np.intp)
-    ends[0::2] = bond_a
-    ends[1::2] = bond_b
-    bins = np.concatenate([ends, ends + m])
-    terms = np.empty((2, len(ends)))
-    xy = positions[indices].T.copy()
-    delta, lengths, offsets, distances = _geometry(xy, bond_a, bond_b)
+    xy, mask = _pack(jobs)
+    width = xy.shape[2]
+    mol, ends_a, ends_b, bins = _bucket_bonds(jobs, width)
+    delta, lengths, offsets, distances = _geometry(xy, ends_a, ends_b, mask)
     for _ in range(MAX_RELAX_ITERATIONS):
         degenerate = lengths < 1e-9
         if degenerate.any():
@@ -409,9 +539,10 @@ def _relax(
             lengths[degenerate] = 1e-3
         stretch = (lengths - 1.0) / lengths
         spring = (0.5 * stretch) * delta.T
+        terms = np.empty((2, 2 * len(mol)))
         terms[:, 0::2] = spring
         terms[:, 1::2] = -spring
-        forces = np.bincount(bins, terms.ravel(), 2 * m).reshape(2, m)
+        forces = np.bincount(bins, terms.ravel(), xy.size).reshape(xy.shape)
         too_close = distances < 0.9
         if too_close.any():
             push = np.zeros_like(distances)
@@ -421,17 +552,32 @@ def _relax(
                 out=push,
                 where=too_close,
             )
-            forces += 0.5 * (offsets * push).sum(axis=1)
+            forces += 0.5 * (offsets * push[:, None]).sum(axis=2)
         step = 0.3 * forces
-        magnitude = np.sqrt((step * step).sum(axis=0))
+        magnitude = np.sqrt((step * step).sum(axis=1, keepdims=True))
         step = np.where(magnitude > 0.2, step * 0.2 / np.maximum(magnitude, 1e-12), step)
         xy += step
-        if float(np.abs(step).max()) < 1e-5:
-            break
-        delta, lengths, offsets, distances = _geometry(xy, bond_a, bond_b)
-        if _distances_ok(lengths, distances):
-            break
-    positions[indices] = xy.T
+        small = np.abs(step).max(axis=(1, 2)) < 1e-5
+        delta, lengths, offsets, distances = _geometry(xy, ends_a, ends_b, mask)
+        keep = ~(small | _met(lengths, distances, mol))
+        if not keep.all():
+            delta, lengths = delta[keep[mol]], lengths[keep[mol]]
+            offsets, distances = offsets[keep], distances[keep]
+            jobs, xy, mask = _leave(jobs, xy, mask, keep)
+            if not jobs:
+                return
+            mol, ends_a, ends_b, bins = _bucket_bonds(jobs, width)
+    _leave(jobs, xy, mask, np.zeros(len(jobs), dtype=bool))
+
+
+def _leave(
+    jobs: list[_Job], xy: np.ndarray, mask: np.ndarray, keep: np.ndarray
+) -> tuple[list[_Job], np.ndarray, np.ndarray]:
+    """Write the rows not kept back to their positions; the kept rows."""
+    for job, row, kept in zip(jobs, xy, keep):
+        if not kept:
+            job.positions[job.indices] = row[:, : len(job.indices)].T
+    return [job for job, kept in zip(jobs, keep) if kept], xy[keep], mask[keep]
 
 
 # --------------------------------------------------------------------------

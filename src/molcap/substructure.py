@@ -66,28 +66,6 @@ class QueryAtom:
     min_degree: int | None = None
     min_h: int | None = None
 
-    def matches(self, graph: MolecularGraph, index: int) -> bool:
-        atom = graph.atoms[index]
-        if self.elements is not None:
-            inside = atom.element in self.elements
-            if inside == self.negate_elements:
-                return False
-        if self.aromatic is not None and atom.aromatic != self.aromatic:
-            return False
-        if self.in_ring is not None and atom.in_ring != self.in_ring:
-            return False
-        if self.charge is not None:
-            if self.charge == "nonzero":
-                if atom.formal_charge == 0:
-                    return False
-            elif atom.formal_charge != self.charge:
-                return False
-        if self.min_degree is not None and graph.heavy_degree(index) < self.min_degree:
-            return False
-        if self.min_h is not None and atom.total_h < self.min_h:
-            return False
-        return True
-
 
 def _predicate_key(atom: QueryAtom) -> str:
     """Text naming every predicate field of ``atom``; equal predicates
@@ -123,9 +101,6 @@ class QueryBond:
     a: int
     b: int
     kind: str = "default"
-
-    def matches(self, order: BondOrder) -> bool:
-        return order in _BOND_KIND_ORDERS[self.kind]
 
 
 @dataclass
@@ -494,7 +469,7 @@ class MoleculeIndex:
             return list(map(self._candidates.__getitem__, query.atom_keys))
 
     def _predicate_mask(self, atom: QueryAtom) -> int:
-        """:meth:`QueryAtom.matches` over every molecule atom at once."""
+        """Mask of the molecule atoms that satisfy every predicate of ``atom``."""
         mask = self._all
         if atom.elements is not None:
             inside = 0

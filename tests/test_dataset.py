@@ -35,6 +35,8 @@ from molcap.errors import (
 )
 from molcap.imaging import ChemImage
 
+from util import random_smiles
+
 
 class FixedRng:
     """Stub with the Generator.integers signature, replaying a queue."""
@@ -152,7 +154,7 @@ def test_featurize_excludes_unparseable() -> None:
 
 
 def test_featurize_maps_layout_failure(monkeypatch) -> None:
-    def failing_layout(graph):
+    def failing_layout(graph, relaxed=None):
         raise LayoutFailureError("forced")
 
     monkeypatch.setattr(dataset, "layout_2d", failing_layout)
@@ -195,6 +197,25 @@ def test_featurize_parallel_matches_sequential() -> None:
     assert len(seq_examples) == len(par_examples)
     for a, b in zip(seq_examples, par_examples):
         assert np.array_equal(a.image.pixels, b.image.pixels)
+        assert a.fingerprint == b.fingerprint
+        assert a.keys == b.keys
+        assert a.label == b.label
+
+
+def test_featurize_parallel_matches_sequential_through_the_relax() -> None:
+    # Ring-rich molecules and quinine reach the batched relax, and two
+    # workers cut the corpus into other chunks than one worker does.
+    rng = random.Random(11)
+    smiles = [random_smiles(rng, max_atoms=25, ring_bias=0.7) for _ in range(80)]
+    smiles.append("COc1ccc2nccc(C(O)C3CC4CCN3CC4C=C)c2c1")
+    molecules = [LabeledMolecule(s, i % 2) for i, s in enumerate(smiles)]
+    seq_examples, seq_report = featurize_dataset(molecules, workers=1)
+    par_examples, par_report = featurize_dataset(molecules, workers=2)
+    assert seq_report.entries == par_report.entries
+    assert seq_report.counts["layout-failure"] >= 10
+    assert len(seq_examples) == len(par_examples)
+    for a, b in zip(seq_examples, par_examples):
+        assert a.image.pixels.tobytes() == b.image.pixels.tobytes()
         assert a.fingerprint == b.fingerprint
         assert a.keys == b.keys
         assert a.label == b.label

@@ -333,6 +333,88 @@ def test_relax_matches_reference_from_hand_made_positions(smiles, start) -> None
     assert np.isnan(positions[~placed]).all()
 
 
+def _reference_layouts(graphs: list[MolecularGraph]) -> tuple[list[bytes], set[int]]:
+    """:func:`_layouts` with the reference relax and check, one molecule at a time."""
+    positions: list[bytes] = []
+    failed: set[int] = set()
+    for i, graph in enumerate(graphs):
+        placed = molcap.imaging.place_atoms(graph)
+        indices = np.flatnonzero(~np.isnan(placed[:, 0]))
+        if not reference_constraints_ok(graph, placed, indices):
+            reference_relax(graph, placed, indices)
+            if not reference_constraints_ok(graph, placed, indices):
+                failed.add(i)
+                placed = None
+        positions.append(b"" if placed is None else placed.tobytes())
+    return positions, failed
+
+
+def _batched_layouts(graphs: list[MolecularGraph]) -> tuple[list[bytes], set[int]]:
+    """:func:`_layouts` with every molecule relaxed in one batched pass."""
+    placements = [molcap.imaging.place_atoms(graph) for graph in graphs]
+    molcap.imaging.relax_layouts(graphs, placements)
+    positions: list[bytes] = []
+    failed: set[int] = set()
+    for i, (graph, relaxed) in enumerate(zip(graphs, placements)):
+        try:
+            positions.append(layout_2d(graph, relaxed).positions.tobytes())
+        except LayoutFailureError:
+            positions.append(b"")
+            failed.add(i)
+    return positions, failed
+
+
+def _record_buckets(monkeypatch) -> list[list[int]]:
+    """Placed-atom counts of every relax bucket from now on, in call order."""
+    buckets: list[list[int]] = []
+    original_bucket = molcap.imaging._relax_bucket
+
+    def recording_bucket(jobs) -> None:
+        buckets.append([len(job.indices) for job in jobs])
+        original_bucket(jobs)
+
+    monkeypatch.setattr(molcap.imaging, "_relax_bucket", recording_bucket)
+    return buckets
+
+
+def test_batched_relax_matches_reference_one_molecule_at_a_time(monkeypatch) -> None:
+    rng = random.Random(0)
+    smiles = [random_smiles(rng, max_atoms=25, ring_bias=0.7) for _ in range(500)]
+    rng = random.Random(5)
+    smiles += [random_smiles(rng, max_atoms=40, ring_bias=0.9) for _ in range(200)]
+    smiles += list(WIDE_MOLECULES) + list(NAMED_LAYOUT_FAILURES)
+    graphs = [parse_smiles(s) for s in smiles]
+    buckets = _record_buckets(monkeypatch)
+    positions, failed = _batched_layouts(graphs)
+    expected_positions, expected_failed = _reference_layouts(graphs)
+    assert failed == expected_failed
+    assert len(failed) >= 200
+    assert positions == expected_positions
+    # The relax ran in shared, padded buckets, each within the pair cap.
+    assert sum(len(sizes) > 1 and min(sizes) < max(sizes) for sizes in buckets) >= 2
+    for sizes in buckets:
+        assert len(sizes) == 1 or len(sizes) * max(sizes) ** 2 <= molcap.imaging.RELAX_BUCKET_PAIRS
+
+
+def test_relax_of_a_molecule_does_not_depend_on_its_bucket(monkeypatch) -> None:
+    # Norbornane relaxed alone, and padded in one bucket with wider
+    # molecules that leave it before its budget ends, must come out with
+    # the same bytes.
+    small = parse_smiles(NAMED_LAYOUT_FAILURES[0])
+    rng = random.Random(5)
+    wider = [parse_smiles(random_smiles(rng, max_atoms=40, ring_bias=0.9)) for _ in range(60)]
+    alone = molcap.imaging.place_atoms(small)
+    start = alone.copy()
+    molcap.imaging.relax_layouts([small], [alone])
+    buckets = _record_buckets(monkeypatch)
+    together = [molcap.imaging.place_atoms(graph) for graph in [small, *wider]]
+    molcap.imaging.relax_layouts([small, *wider], together)
+    assert together[0].tobytes() == alone.tobytes()
+    assert not np.array_equal(alone, start)
+    shared = [sizes for sizes in buckets if len(small.atoms) in sizes]
+    assert len(shared) == 1 and len(shared[0]) >= 20 and max(shared[0]) >= 30
+
+
 # Failures and SHA-256 over the 500 seeded ring-rich molecules, recorded
 # at the commit before the ring placer became one polygon walk.
 PINNED_RING_RICH_FAILURES = 130

@@ -233,12 +233,12 @@ def reference_match_subgraph(
             anchor = assignment[back[0][0]]
             candidates = sorted(m for m, _ in graph.neighbor_bond_indices(anchor))
         for m in candidates:
-            if m in used or not query.atoms[q].matches(graph, m):
+            if m in used or not _oracle_atom_ok(graph, m, query.atoms[q]):
                 continue
             ok = True
             for nb, bond_index in back:
                 bond = graph.bond_between(assignment[nb], m)
-                if bond is None or not query.bonds[bond_index].matches(bond.order):
+                if bond is None or not _oracle_bond_ok(bond.order, query.bonds[bond_index].kind):
                     ok = False
                     break
             if not ok:
@@ -284,11 +284,11 @@ def _is_embedding(
 ) -> bool:
     if len(mapping) != len(query.atoms) or len(set(mapping)) != len(mapping):
         return False
-    if not all(qa.matches(graph, m) for qa, m in zip(query.atoms, mapping)):
+    if not all(_oracle_atom_ok(graph, m, qa) for qa, m in zip(query.atoms, mapping)):
         return False
     for qb in query.bonds:
         bond = graph.bond_between(mapping[qb.a], mapping[qb.b])
-        if bond is None or not qb.matches(bond.order):
+        if bond is None or not _oracle_bond_ok(bond.order, qb.kind):
             return False
     return True
 
@@ -357,7 +357,7 @@ def test_candidate_masks_agree_with_atom_predicates() -> None:
         index = MoleculeIndex(graph)
         for query in queries:
             expected = [
-                sum(1 << m for m in range(len(graph.atoms)) if atom.matches(graph, m))
+                sum(1 << m for m in range(len(graph.atoms)) if _oracle_atom_ok(graph, m, atom))
                 for atom in query.atoms
             ]
             assert index.candidates(query) == expected, (smiles, query)
