@@ -225,9 +225,10 @@ def _featurize_chunk(
 ) -> list[CaptionedExample | str]:
     """Per molecule, an example or the exclusion reason string.
 
-    Every parsed molecule is placed, all placements are relaxed in one
-    batched pass, and each molecule then goes through its own layout
-    check, raster, fingerprint and keys.
+    Every parsed molecule is placed, one batched pass checks and relaxes
+    all placements, and each molecule then goes through :func:`layout_2d`
+    (which raises for a placement the relax left NaN), raster,
+    fingerprint and keys.
     """
     results: list[CaptionedExample | str] = [REASON_PARSE] * len(molecules)
     parsed = []
@@ -304,11 +305,12 @@ def featurize_dataset(
 
     Molecules go through in chunks of at most 256; with several workers
     each pool task is one chunk of at most ceil(n / workers) molecules.
-    A chunk parses and places every molecule, relaxes all placements in
-    one batched pass (size buckets of padded coordinates, each molecule
-    with its own exits), then checks each layout with :func:`layout_2d`
-    and draws, fingerprints and keys it.  Every output byte is the same
-    for any chunking and worker count.
+    A chunk parses and places every molecule, checks and relaxes all
+    placements in one batched pass (size buckets of padded coordinates,
+    each molecule with its own exits), then wraps each result with
+    :func:`layout_2d`, which raises for a placement the relax could not
+    repair, and draws, fingerprints and keys it.  Every output byte is
+    the same for any chunking and worker count.
 
     Args:
         molecules: Loaded corpus, order preserved in the output.
@@ -577,7 +579,8 @@ def read_cache(
 
     Raises:
         CacheError: Bad magic, unsupported version, wrong corpus hash,
-            a width or key count the featurizer never writes, or a bad body length.
+            an image side, width or key count the featurizer never writes,
+            or a bad body length.
     """
     raw = Path(path).read_bytes()
     if len(raw) < _HEADER.size:
@@ -597,6 +600,7 @@ def read_cache(
     if expected_hash is not None and corpus_hash != expected_hash.lower():
         raise CacheError(f"{path}: corpus hash mismatch")
     try:
+        check_image_side(side)
         _check_cache_width(nbits)
     except ConfigError as exc:
         raise CacheError(f"{path}: {exc}") from None

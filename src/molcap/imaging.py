@@ -4,19 +4,19 @@ Layout runs in three steps.  Placement puts rings down as regular
 polygons with unit sides (fused rings reflected across the shared edge,
 spiro rings tangent at the shared atom), then grows acyclic substituents
 outward, each new atom taking the direction bisecting the largest free
-angular gap around its parent.  If the result violates the distance
-constraints, up to 200 deterministic force-directed iterations repair
-it.  The constraint check then raises LayoutFailureError when they are
-still unmet.
+angular gap around its parent.  :func:`relax_layouts` then checks the
+distance constraints once per molecule and repairs the placements that
+miss them with up to 200 deterministic force-directed iterations; a
+placement still missing them comes back with every row NaN, and
+:func:`layout_2d` raises LayoutFailureError for it.
 
-The relax runs on many molecules at once: :func:`relax_layouts` sorts
-them by placed-atom count and packs them into size buckets of padded
+The check and the relax run on many molecules at once: molecules are
+sorted by placed-atom count and packed into size buckets of padded
 (B, 2, M) coordinates, at most RELAX_BUCKET_PAIRS padded pairs each.  A
 precomputed mask adds +inf to the distance of every pair with a padded
 atom, so padded atoms never repel, and each molecule leaves its bucket on
-its own exits.  Every position is byte for byte the one that
-:func:`layout_2d` gives the molecule alone, which relaxes it as a
-bucket of one.
+its own exits.  Every position is byte for byte the one the molecule
+gets alone, as :func:`layout_2d` without relaxed coordinates relaxes it.
 
 Rasterization maps bond-length units onto 3 pixels each, centers the
 molecule on the grid (60 x 60 unless asked otherwise), draws every bond
@@ -109,34 +109,29 @@ def layout_2d(graph: MolecularGraph, relaxed: np.ndarray | None = None) -> Layou
         graph: Parsed molecule.
         relaxed: Coordinates that :func:`place_atoms` and
             :func:`relax_layouts` already produced for ``graph``, to be
-            checked and wrapped as they are; placed and relaxed here
-            when omitted.
+            wrapped as they are; placed and relaxed here when omitted.
 
     Returns:
         Layout with bonded atoms at unit distance (within 15%) and no
         two atoms closer than half a unit.
 
     Raises:
-        LayoutFailureError: Constraints unreachable within the iteration
-            budget (typically crowded bridged polycyclics).
+        LayoutFailureError: The relax left the constraints unmet, so no
+            atom is placed (typically crowded bridged polycyclics).
     """
-    positions = place_atoms(graph) if relaxed is None else relaxed
-    placed = ~np.isnan(positions[:, 0])
+    if relaxed is None:
+        relaxed = place_atoms(graph)
+        relax_layouts([graph], [relaxed])
+    placed = ~np.isnan(relaxed[:, 0])
     if not placed.any():
-        return Layout2D(positions, placed, (0.0, 0.0))
-    indices = np.flatnonzero(placed)
-    met = _constraints_ok(graph, positions, indices)
-    if not met and relaxed is None:
-        _relax(graph, positions, indices)
-        met = _constraints_ok(graph, positions, indices)
-    if not met:
-        raise LayoutFailureError(
-            "could not reach distance constraints within "
-            f"{MAX_RELAX_ITERATIONS} iterations"
-        )
-
-    box = tuple(float(extent) for extent in np.ptp(positions[indices], axis=0))
-    return Layout2D(positions=positions, placed=placed, bounding_box=box)
+        if len(graph.atoms):
+            raise LayoutFailureError(
+                "could not reach distance constraints within "
+                f"{MAX_RELAX_ITERATIONS} iterations"
+            )
+        return Layout2D(relaxed, placed, (0.0, 0.0))
+    box = tuple(float(extent) for extent in np.ptp(relaxed[placed], axis=0))
+    return Layout2D(positions=relaxed, placed=placed, bounding_box=box)
 
 
 def place_atoms(graph: MolecularGraph) -> np.ndarray:
@@ -389,7 +384,8 @@ class _Job(NamedTuple):
     bond_b: np.ndarray
 
 
-def _job(graph: MolecularGraph, positions: np.ndarray, indices: np.ndarray) -> _Job:
+def _job(graph: MolecularGraph, positions: np.ndarray) -> _Job:
+    indices = np.flatnonzero(~np.isnan(positions[:, 0]))
     return _Job(positions, indices, *_local_bonds(graph, indices))
 
 
@@ -472,26 +468,18 @@ def _constraints_met(jobs: list[_Job]) -> np.ndarray:
     return _met(lengths, distances, mol)
 
 
-def _constraints_ok(
-    graph: MolecularGraph, positions: np.ndarray, indices: np.ndarray
-) -> bool:
-    """Every placed bond within 15% of unit length, no pair under 0.5."""
-    return bool(_constraints_met([_job(graph, positions, indices)])[0])
-
-
 def relax_layouts(graphs: Sequence[MolecularGraph], placements: Sequence[np.ndarray]) -> None:
     """Relax, in place, every placement that misses the distance constraints.
 
     ``placements[k]`` holds :func:`place_atoms` coordinates of
-    ``graphs[k]``.  Both the constraint check and the relax run on size
-    buckets of molecules at once, and each placement comes out with the
-    bytes that :func:`layout_2d` gives it alone.
+    ``graphs[k]``.  Every placement is checked once, in size buckets of
+    molecules at once; only those that miss go on to be relaxed, in
+    buckets of their own.  A placement that still misses the constraints
+    when it leaves its bucket comes back with every row NaN, which
+    :func:`layout_2d` reports as a failure.  Each result is byte for byte
+    the one the molecule gets in any other bucket, alone included.
     """
-    jobs = [
-        _job(graph, positions, np.flatnonzero(~np.isnan(positions[:, 0])))
-        for graph, positions in zip(graphs, placements)
-        if len(positions)
-    ]
+    jobs = [_job(graph, p) for graph, p in zip(graphs, placements) if len(p)]
     missed = [
         job
         for bucket in _buckets(jobs)
@@ -502,22 +490,16 @@ def relax_layouts(graphs: Sequence[MolecularGraph], placements: Sequence[np.ndar
         _relax_bucket(bucket)
 
 
-def _relax(
-    graph: MolecularGraph, positions: np.ndarray, indices: np.ndarray
-) -> None:
-    """Force-directed cleanup of one molecule: a bucket of one."""
-    _relax_bucket([_job(graph, positions, indices)])
-
-
 def _relax_bucket(jobs: list[_Job]) -> None:
     """Force-directed cleanup: bond springs plus short-range repulsion.
 
-    Moves only the placed rows, held as padded (B, 2, M) coordinates and
-    written back when a molecule leaves; unplaced NaN rows are never
-    touched.  Every iteration is one set of NumPy calls for the whole
-    bucket, and each molecule leaves on its own exits: a step under 1e-5,
-    met constraints after its step, or the end of its iteration budget.
-    One :func:`_geometry` pass per iteration serves both that iteration's
+    Moves only the placed rows, held as padded (B, 2, M) coordinates.
+    Every iteration is one set of NumPy calls for the whole bucket, and
+    each molecule leaves on its own exits: a step under 1e-5, met
+    constraints after its step, or the end of its iteration budget.  A
+    molecule that leaves with the constraints met gets its placed rows
+    written back; one that leaves without gets every row NaN.  One
+    :func:`_geometry` pass per iteration serves both that iteration's
     check and the next one's forces.
 
     The arithmetic is that of a per-bond loop run on each molecule alone.
@@ -559,24 +541,29 @@ def _relax_bucket(jobs: list[_Job]) -> None:
         xy += step
         small = np.abs(step).max(axis=(1, 2)) < 1e-5
         delta, lengths, offsets, distances = _geometry(xy, ends_a, ends_b, mask)
-        keep = ~(small | _met(lengths, distances, mol))
+        met = _met(lengths, distances, mol)
+        keep = ~(small | met)
         if not keep.all():
             delta, lengths = delta[keep[mol]], lengths[keep[mol]]
             offsets, distances = offsets[keep], distances[keep]
-            jobs, xy, mask = _leave(jobs, xy, mask, keep)
+            jobs, xy, mask = _leave(jobs, xy, mask, keep, met)
             if not jobs:
                 return
             mol, ends_a, ends_b, bins = _bucket_bonds(jobs, width)
-    _leave(jobs, xy, mask, np.zeros(len(jobs), dtype=bool))
+    for job in jobs:
+        job.positions[:] = np.nan
 
 
 def _leave(
-    jobs: list[_Job], xy: np.ndarray, mask: np.ndarray, keep: np.ndarray
+    jobs: list[_Job], xy: np.ndarray, mask: np.ndarray, keep: np.ndarray, met: np.ndarray
 ) -> tuple[list[_Job], np.ndarray, np.ndarray]:
-    """Write the rows not kept back to their positions; the kept rows."""
-    for job, row, kept in zip(jobs, xy, keep):
-        if not kept:
+    """Write the rows that met the constraints back to their positions,
+    NaN into every row of the others not kept; the kept rows."""
+    for job, row, kept, ok in zip(jobs, xy, keep, met):
+        if ok:
             job.positions[job.indices] = row[:, : len(job.indices)].T
+        elif not kept:
+            job.positions[:] = np.nan
     return [job for job, kept in zip(jobs, keep) if kept], xy[keep], mask[keep]
 
 

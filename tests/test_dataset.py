@@ -8,6 +8,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+import molcap.imaging
 from molcap import dataset
 from molcap.dataset import (
     CachedDataset,
@@ -219,6 +220,26 @@ def test_featurize_parallel_matches_sequential_through_the_relax() -> None:
         assert a.fingerprint == b.fingerprint
         assert a.keys == b.keys
         assert a.label == b.label
+
+
+def test_featurize_builds_each_bond_table_once(monkeypatch) -> None:
+    # One relax path checks each parsed molecule once, so its bond table
+    # is built once, whether it is drawn, relaxed or fails its layout.
+    rng = random.Random(11)
+    smiles = [random_smiles(rng, max_atoms=25, ring_bias=0.7) for _ in range(40)]
+    smiles += ["C(", "C1CC2CCC1C2", "CCO"]
+    calls: list[int] = []
+    original = molcap.imaging._local_bonds
+
+    def counting(graph, indices):
+        calls.append(len(indices))
+        return original(graph, indices)
+
+    monkeypatch.setattr(molcap.imaging, "_local_bonds", counting)
+    examples, report = featurize_dataset([LabeledMolecule(s, 0) for s in smiles])
+    assert report.counts["parse-error"] == 1
+    assert report.counts["layout-failure"] >= 2
+    assert len(calls) == len(smiles) - 1
 
 
 def test_featurize_pool_never_larger_than_corpus(monkeypatch) -> None:
@@ -587,6 +608,20 @@ def test_cache_rejects_bad_header_or_long_body(
         raw[at : at + len(patch)] = patch
     path.write_bytes(bytes(raw))
     with pytest.raises(CacheError):
+        read_cache(path)
+
+
+def test_cache_rejects_image_side_zero(tmp_path, small_examples) -> None:
+    # A header side of 0 with a body sized for it used to load as
+    # (n, 0, 0) images; featurize never writes that side.
+    _, examples = small_examples
+    path = tmp_path / "data.bin"
+    write_cache(path, examples, "11" * 32)
+    header = bytearray(path.read_bytes()[: dataset._HEADER.size])
+    header[16:18] = b"\x00\x00"
+    body = bytes(len(examples) * dataset._record_dtype(0, 2048).itemsize)
+    path.write_bytes(bytes(header) + body)
+    with pytest.raises(CacheError, match="image side"):
         read_cache(path)
 
 

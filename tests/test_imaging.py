@@ -240,16 +240,14 @@ def _layouts(graphs: list[MolecularGraph]) -> tuple[list[bytes], set[int]]:
     return positions, failed
 
 
-def test_relax_matches_reference_loop_byte_for_byte(monkeypatch) -> None:
+def test_relax_matches_reference_loop_byte_for_byte() -> None:
     rng = random.Random(0)
     graphs = [
         parse_smiles(random_smiles(rng, max_atoms=25, ring_bias=0.7))
         for _ in range(300)
     ]
     positions, failed = _layouts(graphs)
-    monkeypatch.setattr(molcap.imaging, "_relax", reference_relax)
-    monkeypatch.setattr(molcap.imaging, "_constraints_ok", reference_constraints_ok)
-    expected_positions, expected_failed = _layouts(graphs)
+    expected_positions, expected_failed = _reference_layouts(graphs)
     assert failed == expected_failed
     # The full iteration budget runs on every failure: cover it.
     assert len(failed) >= 50
@@ -274,22 +272,13 @@ def test_relax_matches_reference_loop_on_molecules_wider_than_a_summation_block(
     smiles = list(WIDE_MOLECULES) + list(NAMED_LAYOUT_FAILURES)
     smiles += [random_smiles(rng, max_atoms=40, ring_bias=0.9) for _ in range(200)]
     graphs = [parse_smiles(s) for s in smiles]
-    relaxed_sizes = []
-    original_relax = molcap.imaging._relax
-
-    def recording_relax(graph, positions, indices) -> None:
-        relaxed_sizes.append(len(indices))
-        original_relax(graph, positions, indices)
-
-    monkeypatch.setattr(molcap.imaging, "_relax", recording_relax)
+    buckets = _record_buckets(monkeypatch)
     positions, failed = _layouts(graphs)
-    monkeypatch.setattr(molcap.imaging, "_relax", reference_relax)
-    monkeypatch.setattr(molcap.imaging, "_constraints_ok", reference_constraints_ok)
-    expected_positions, expected_failed = _layouts(graphs)
+    expected_positions, expected_failed = _reference_layouts(graphs)
     named = set(range(len(WIDE_MOLECULES), len(WIDE_MOLECULES) + len(NAMED_LAYOUT_FAILURES)))
     assert named <= failed
     assert failed == expected_failed
-    assert sum(size > 8 for size in relaxed_sizes) >= 50
+    assert sum(size > 8 for sizes in buckets for size in sizes) >= 50
     assert positions == expected_positions
 
 
@@ -328,7 +317,7 @@ def test_relax_matches_reference_from_hand_made_positions(smiles, start) -> None
     indices = np.flatnonzero(placed)
     expected = positions.copy()
     reference_relax(graph, expected, indices)
-    molcap.imaging._relax(graph, positions, indices)
+    molcap.imaging.relax_layouts([graph], [positions])
     assert positions.tobytes() == expected.tobytes()
     assert np.isnan(positions[~placed]).all()
 
@@ -397,22 +386,41 @@ def test_batched_relax_matches_reference_one_molecule_at_a_time(monkeypatch) -> 
 
 
 def test_relax_of_a_molecule_does_not_depend_on_its_bucket(monkeypatch) -> None:
-    # Norbornane relaxed alone, and padded in one bucket with wider
-    # molecules that leave it before its budget ends, must come out with
-    # the same bytes.
-    small = parse_smiles(NAMED_LAYOUT_FAILURES[0])
+    # A molecule the relax rescues late, after about 120 iterations,
+    # relaxed alone and padded in one bucket with wider molecules that
+    # leave it before it finishes, must come out with the same bytes.
+    # Norbornane, which the relax cannot rescue, must fail both ways.
+    rescued = parse_smiles("C(SI)(O1)(O2)POC(C(C1(C)CC2(C)C)N)P")
+    norbornane = parse_smiles(NAMED_LAYOUT_FAILURES[0])
     rng = random.Random(5)
     wider = [parse_smiles(random_smiles(rng, max_atoms=40, ring_bias=0.9)) for _ in range(60)]
-    alone = molcap.imaging.place_atoms(small)
-    start = alone.copy()
-    molcap.imaging.relax_layouts([small], [alone])
+    alone = [molcap.imaging.place_atoms(graph) for graph in (rescued, norbornane)]
+    start = alone[0].copy()
+    for graph, positions in zip((rescued, norbornane), alone):
+        molcap.imaging.relax_layouts([graph], [positions])
     buckets = _record_buckets(monkeypatch)
-    together = [molcap.imaging.place_atoms(graph) for graph in [small, *wider]]
-    molcap.imaging.relax_layouts([small, *wider], together)
-    assert together[0].tobytes() == alone.tobytes()
-    assert not np.array_equal(alone, start)
-    shared = [sizes for sizes in buckets if len(small.atoms) in sizes]
+    graphs = [rescued, norbornane, *wider]
+    together = [molcap.imaging.place_atoms(graph) for graph in graphs]
+    molcap.imaging.relax_layouts(graphs, together)
+    assert together[0].tobytes() == alone[0].tobytes()
+    assert not np.isnan(alone[0]).any()
+    assert not np.array_equal(alone[0], start)
+    assert np.isnan(alone[1]).all() and np.isnan(together[1]).all()
+    shared = [sizes for sizes in buckets if len(rescued.atoms) in sizes]
     assert len(shared) == 1 and len(shared[0]) >= 20 and max(shared[0]) >= 30
+
+
+@pytest.mark.parametrize("smiles", [*NAMED_LAYOUT_FAILURES, "CC.C1CC2CCC1C2"])
+def test_failed_placement_comes_back_nan_and_layout_raises(smiles) -> None:
+    # Every row NaN, unplaced ones included, is the relax's only verdict:
+    # the wrap must raise on it without checking anything itself.
+    graph = parse_smiles(smiles)
+    positions = molcap.imaging.place_atoms(graph)
+    assert not np.isnan(positions).all()
+    molcap.imaging.relax_layouts([graph], [positions])
+    assert np.isnan(positions).all()
+    with pytest.raises(LayoutFailureError):
+        layout_2d(graph, positions)
 
 
 # Failures and SHA-256 over the 500 seeded ring-rich molecules, recorded
