@@ -43,8 +43,10 @@ from .fingerprints import (
     DEFAULT_NBITS,
     DEFAULT_RADIUS,
     Fingerprint,
+    check_fingerprint_radius,
     check_fingerprint_width,
     morgan_fingerprint,
+    morgan_hashes,
 )
 from .imaging import DEFAULT_SIDE, ChemImage, layout_2d, place_atoms, rasterize, relax_layouts
 from .maccs import N_KEYS, KeyDefinition, KeyVector, evaluate_keys, load_key_definitions
@@ -225,10 +227,11 @@ def _featurize_chunk(
 ) -> list[CaptionedExample | str]:
     """Per molecule, an example or the exclusion reason string.
 
-    Every parsed molecule is placed, one batched pass checks and relaxes
-    all placements, and each molecule then goes through :func:`layout_2d`
-    (which raises for a placement the relax left NaN), raster,
-    fingerprint and keys.
+    Every parsed molecule is placed, and one batched pass checks and
+    relaxes all placements.  One batched :func:`morgan_hashes` pass then
+    hashes every molecule the relax left placed, and each molecule goes
+    through :func:`layout_2d` (which raises for a placement the relax left
+    NaN), raster, the fold of its hashes into a fingerprint, and keys.
     """
     results: list[CaptionedExample | str] = [REASON_PARSE] * len(molecules)
     parsed = []
@@ -239,9 +242,11 @@ def _featurize_chunk(
             pass
     placements = [place_atoms(graph) for _, graph in parsed]
     relax_layouts([graph for _, graph in parsed], placements)
-    for (index, graph), positions in zip(parsed, placements):
+    placed = [k for k, positions in enumerate(placements) if not np.isnan(positions[:, 0]).all()]
+    hashes = dict(zip(placed, morgan_hashes([parsed[k][1] for k in placed], radius)))
+    for k, ((index, graph), positions) in enumerate(zip(parsed, placements)):
         results[index] = _featurize_one(
-            molecules[index], graph, positions, side, radius, nbits, definitions
+            molecules[index], graph, positions, hashes.get(k), side, radius, nbits, definitions
         )
     return results
 
@@ -250,12 +255,17 @@ def _featurize_one(
     molecule: LabeledMolecule,
     graph: MolecularGraph,
     positions: np.ndarray,
+    hashes: np.ndarray | None,
     side: int,
     radius: int,
     nbits: int,
     definitions: list[KeyDefinition],
 ) -> CaptionedExample | str:
-    """One parsed and relaxed molecule to an example, or the exclusion reason."""
+    """One parsed and relaxed molecule to an example, or the exclusion reason.
+
+    ``hashes`` is the molecule's entry of :func:`morgan_hashes`, or None
+    when the relax left it unplaced.
+    """
     try:
         layout = layout_2d(graph, positions)
     except LayoutFailureError:
@@ -266,7 +276,7 @@ def _featurize_one(
         return REASON_FIT
     return CaptionedExample(
         image=image,
-        fingerprint=morgan_fingerprint(graph, radius=radius, nbits=nbits),
+        fingerprint=morgan_fingerprint(graph, radius=radius, nbits=nbits, hashes=hashes),
         keys=evaluate_keys(graph, definitions),
         label=molecule.label,
     )
@@ -307,10 +317,12 @@ def featurize_dataset(
     each pool task is one chunk of at most ceil(n / workers) molecules.
     A chunk parses and places every molecule, checks and relaxes all
     placements in one batched pass (size buckets of padded coordinates,
-    each molecule with its own exits), then wraps each result with
+    each molecule with its own exits), and hashes the Morgan environments
+    of every molecule the relax left placed in one batched pass
+    (:func:`morgan_hashes`).  It then wraps each result with
     :func:`layout_2d`, which raises for a placement the relax could not
-    repair, and draws, fingerprints and keys it.  Every output byte is
-    the same for any chunking and worker count.
+    repair, draws it, folds its hashes into a fingerprint and keys it.
+    Every output byte is the same for any chunking and worker count.
 
     Args:
         molecules: Loaded corpus, order preserved in the output.
@@ -332,8 +344,7 @@ def featurize_dataset(
             worker; raised before any molecule is processed.
     """
     check_image_side(side)
-    if radius < 0:
-        raise ConfigError(f"fingerprint radius must be at least 0, got {radius}")
+    check_fingerprint_radius(radius)
     _check_cache_width(nbits)
     if workers < 1:
         raise ConfigError(f"workers must be at least 1, got {workers}")

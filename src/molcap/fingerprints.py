@@ -25,11 +25,26 @@ Deduplication:
 Keying on bond sets rather than hashes means two centers describing the
 same fragment count once, and ordering candidates by hash keeps the
 choice of survivor independent of atom numbering.
+
+One batched core, :func:`morgan_hashes`, hashes every atom of many
+molecules at once.  Each round builds one row of words per bonded atom,
+rows ordered by falling heavy degree so that the rows hashing a p-th
+neighbor pair lead, and runs FNV-1a over the byte columns of the rows'
+big-endian encoding in ``uint64``, whose wrapping multiplication is the
+64-bit mask of the spec.  Bond sets are bit masks of molecule-local bond
+indices in ``uint64`` words, and one sort per chunk keeps the first
+candidate of each bond set.  :func:`initial_invariants`,
+:func:`morgan_iterate` and :func:`morgan_fingerprint` are one-molecule
+views of it; :func:`fnv1a_64` is the scalar spec of the hash.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import chain
+from operator import attrgetter
+from typing import Sequence
 
 import numpy as np
 
@@ -41,8 +56,10 @@ __all__ = [
     "Fingerprint",
     "fnv1a_64",
     "initial_invariants",
+    "morgan_hashes",
     "morgan_iterate",
     "check_fingerprint_width",
+    "check_fingerprint_radius",
     "fold_to_bits",
     "morgan_fingerprint",
     "DEFAULT_NBITS",
@@ -56,6 +73,11 @@ _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 _MASK64 = (1 << 64) - 1
 
+_ATOM_FIELDS = attrgetter(
+    "element", "formal_charge", "explicit_h", "implicit_h", "in_ring", "aromatic"
+)
+_BOND_FIELDS = attrgetter("a", "b", "order")
+
 
 def fnv1a_64(data: bytes) -> int:
     """FNV-1a hash, 64-bit variant."""
@@ -66,10 +88,47 @@ def fnv1a_64(data: bytes) -> int:
     return h
 
 
-def _hash_ints(values: list[int]) -> int:
-    """Hash integers via their fixed 8-byte big-endian encodings."""
-    data = b"".join((v & _MASK64).to_bytes(8, "big") for v in values)
-    return fnv1a_64(data)
+@lru_cache(maxsize=256)
+def _prime_power(n: int) -> np.uint64:
+    """The FNV prime to the n-th power, mod 2**64: n steps of a zero byte."""
+    return np.uint64(pow(_FNV_PRIME, n, 1 << 64))
+
+
+def _hash_rows(words: np.ndarray, active: Sequence[int] | None = None) -> np.ndarray:
+    """:func:`fnv1a_64` of every row of 64-bit words, 8 big-endian bytes each.
+
+    Args:
+        words: (rows, k) int64 or uint64; negative words enter in two's
+            complement.
+        active: Per word, how many leading rows hash it, never rising
+            from one word to the next (all rows when omitted); the words a
+            row does not hash are ignored.
+
+    Returns:
+        The (rows,) uint64 hashes.  A byte column that is zero in every
+        row hashing it leaves the XOR step unchanged, so each run of them
+        costs one multiplication by a power of the prime.
+    """
+    rows, k = words.shape
+    columns = words.astype(">u8").view(np.uint8).T
+    hashes = np.full(rows, _FNV_OFFSET, dtype=np.uint64)
+    live, owed = hashes, 0  # the rows still hashing, and multiplications they owe
+    for w, count in enumerate([rows] * k if active is None else active):
+        if count != len(live):
+            live *= _prime_power(owed)
+            live, owed = hashes[:count], 0
+        either = int(np.bitwise_or.reduce(words[:count, w], initial=0)) & _MASK64
+        done = 0
+        for j, byte in enumerate(either.to_bytes(8, "big")):
+            if byte:
+                owed += j - done
+                if owed:
+                    live *= _prime_power(owed)
+                live ^= columns[8 * w + j, :count]
+                owed, done = 1, j + 1
+        owed += 8 - done
+    live *= _prime_power(owed)
+    return hashes
 
 
 @dataclass(frozen=True)
@@ -105,7 +164,15 @@ class Fingerprint:
 
     @classmethod
     def from_hex(cls, text: str, radius: int = DEFAULT_RADIUS) -> "Fingerprint":
+        """Parse :meth:`to_hex` output.
+
+        Raises:
+            ConfigError: The width is not a power of two of at least 8, or
+                the radius is negative.
+        """
         data = bytes.fromhex(text)
+        check_fingerprint_width(len(data) * 8)
+        check_fingerprint_radius(radius)
         return cls(data=data, nbits=len(data) * 8, radius=radius)
 
     def to_array(self) -> np.ndarray:
@@ -113,23 +180,174 @@ class Fingerprint:
         return np.unpackbits(np.frombuffer(self.data, dtype=np.uint8))
 
 
+@dataclass(frozen=True)
+class _Atoms:
+    """The atoms and directed bonds of a chunk of molecules.
+
+    Atoms are numbered across the chunk in molecule order.  Each bond
+    appears twice, once from each end, and the directed bonds are ordered
+    by their center atom, so the bonds of atom ``i`` fill ``first[i]`` up
+    to ``first[i] + degree[i]``.
+    """
+
+    molecule: np.ndarray  # (N,) molecule of each atom
+    local: np.ndarray  # (N,) atom index within its molecule
+    degree: np.ndarray  # (N,) heavy degree
+    invariants: np.ndarray  # (N,) round-0 hashes, uint64
+    neighbor: np.ndarray  # (E,) neighbor atom of each directed bond
+    order: np.ndarray  # (E,) bond order, uint64
+    bond: np.ndarray  # (E,) molecule-local bond index
+    first: np.ndarray  # (N,) first directed bond of each atom
+    bond_words: int  # uint64 words per bond-set mask
+
+
+def _atoms(graphs: Sequence[MolecularGraph]) -> _Atoms:
+    """Gather the atom invariants and bond table of every molecule."""
+    atom_counts = np.array([len(g.atoms) for g in graphs], dtype=np.int64)
+    bond_counts = np.array([len(g.bonds) for g in graphs], dtype=np.int64)
+    n, n_bonds = int(atom_counts.sum()), int(bond_counts.sum())
+    fields = np.fromiter(
+        chain.from_iterable(map(_ATOM_FIELDS, chain.from_iterable(g.atoms for g in graphs))),
+        dtype=np.int64,
+        count=6 * n,
+    ).reshape(n, 6)
+    bonds = np.fromiter(
+        chain.from_iterable(map(_BOND_FIELDS, chain.from_iterable(g.bonds for g in graphs))),
+        dtype=np.int64,
+        count=3 * n_bonds,
+    ).reshape(n_bonds, 3)
+
+    molecules = np.arange(len(graphs))
+    molecule = np.repeat(molecules, atom_counts)
+    atom_start = np.cumsum(atom_counts) - atom_counts
+    bond_molecule = np.repeat(molecules, bond_counts)
+    ends = bonds[:, :2] + atom_start[bond_molecule, None]
+    local_bond = np.arange(n_bonds) - (np.cumsum(bond_counts) - bond_counts)[bond_molecule]
+    degree = np.bincount(ends.ravel(), minlength=n)
+
+    # (element, heavy_degree, formal_charge, total_h, in_ring, aromatic)
+    rows = np.column_stack(
+        (fields[:, 0], degree, fields[:, 1], fields[:, 2] + fields[:, 3], fields[:, 4:])
+    )
+    center = np.concatenate((ends[:, 0], ends[:, 1]))
+    by_center = np.argsort(center, kind="stable")
+    return _Atoms(
+        molecule=molecule,
+        local=np.arange(n) - atom_start[molecule],
+        degree=degree,
+        invariants=_hash_rows(rows),
+        neighbor=np.concatenate((ends[:, 1], ends[:, 0]))[by_center],
+        order=np.tile(bonds[:, 2], 2)[by_center].astype(np.uint64),
+        bond=np.tile(local_bond, 2)[by_center],
+        first=np.cumsum(degree) - degree,
+        bond_words=max(1, -(-int(bond_counts.max(initial=0)) // 64)),
+    )
+
+
+def _first_of_runs(*keys: np.ndarray) -> np.ndarray:
+    """Mask of the rows of sorted key columns that differ from the row before."""
+    first = np.ones(len(keys[0]), dtype=bool)
+    if len(first):
+        first[1:] = np.any([key[1:] != key[:-1] for key in keys], axis=0)
+    return first
+
+
+def _environments(
+    graphs: Sequence[MolecularGraph], radius: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The retained environments of every molecule, in retention order.
+
+    Returns:
+        (molecule, radius, hash, center, bond masks): one entry per
+        environment sorted by (molecule, radius, hash, center); center is
+        molecule-local, and row k of the (k, words) uint64 masks has bit b
+        set when molecule-local bond b is in the bond set.
+
+    Raises:
+        ConfigError: Negative radius.
+    """
+    check_fingerprint_radius(radius)
+    atoms = _atoms(graphs)
+    hashes = atoms.invariants
+    masks = np.zeros((len(hashes), atoms.bond_words), dtype=np.uint64)
+    # Candidates of each round in (hash, atom) order: every atom in round
+    # 0, every bonded atom (whose bond set is never empty) after it.
+    ranked = np.argsort(hashes, kind="stable")
+    found = [(ranked, np.zeros(len(ranked), np.int64), hashes[ranked], masks[ranked])]
+
+    # One row of words per bonded atom, atoms by falling degree so the rows
+    # that hash a p-th neighbor pair lead; padded pairs sort last and no
+    # row hashes them.
+    bonded = np.flatnonzero(atoms.degree)
+    rowed = bonded[np.argsort(-atoms.degree[bonded], kind="stable")]
+    width = int(atoms.degree.max(initial=0))
+    padded = np.arange(width) >= atoms.degree[rowed, None]
+    slots = np.where(padded, 0, atoms.first[rowed, None] + np.arange(width))
+    pair_order = np.where(padded, np.uint64(_MASK64), atoms.order[slots])
+    active = [len(rowed)] * 2
+    for p in range(width):
+        active += [int(np.count_nonzero(~padded[:, p]))] * 2
+    bits = np.zeros((len(atoms.bond), atoms.bond_words), dtype=np.uint64)
+    bits[np.arange(len(atoms.bond)), atoms.bond >> 6] = np.left_shift(
+        np.uint64(1), (atoms.bond & 63).astype(np.uint64)
+    )
+    for r in range(1, radius + 1):
+        pair_hash = hashes[atoms.neighbor[slots]]
+        pairs = np.lexsort((pair_hash, pair_order))
+        words = np.empty((len(rowed), 2 + 2 * width), dtype=np.uint64)
+        words[:, 0] = r
+        words[:, 1] = hashes[rowed]
+        words[:, 2::2] = np.take_along_axis(pair_order, pairs, axis=1)
+        words[:, 3::2] = np.take_along_axis(pair_hash, pairs, axis=1)
+        new_hashes = hashes.copy()
+        new_hashes[rowed] = _hash_rows(words, active)
+        new_masks = np.zeros_like(masks)
+        if len(bonded):
+            new_masks[bonded] = np.bitwise_or.reduceat(
+                bits | masks[atoms.neighbor], atoms.first[bonded], axis=0
+            )
+        hashes, masks = new_hashes, new_masks
+        ranked = bonded[np.argsort(hashes[bonded], kind="stable")]
+        found.append((ranked, np.full(len(ranked), r), hashes[ranked], masks[ranked]))
+
+    # A stable sort by molecule of the rounds laid end to end puts each
+    # molecule's candidates in (round, hash, center) order.
+    atom, rounds, env_hash, env_masks = (np.concatenate(column) for column in zip(*found))
+    order = np.argsort(atoms.molecule[atom], kind="stable")
+    atom, rounds, env_hash, env_masks = atom[order], rounds[order], env_hash[order], env_masks[order]
+    molecule = atoms.molecule[atom]
+    # Round 0 keeps the first atom of each invariant; later rounds keep the
+    # first candidate of each bond set (a stable sort keeps molecules and
+    # candidates of one bond set in order).
+    keep = (rounds > 0) | _first_of_runs(molecule, rounds, env_hash)
+    later = np.flatnonzero(rounds)
+    ranked = later[np.lexsort(env_masks[later].T)]
+    keep[ranked[~_first_of_runs(molecule[ranked], *env_masks[ranked].T)]] = False
+    return molecule[keep], rounds[keep], env_hash[keep], atoms.local[atom[keep]], env_masks[keep]
+
+
+def morgan_hashes(graphs: Sequence[MolecularGraph], radius: int) -> list[np.ndarray]:
+    """Hash many molecules at once.
+
+    Args:
+        graphs: Parsed molecules.
+        radius: Number of expansion rounds (0 keeps initial values only).
+
+    Returns:
+        Per molecule, the uint64 hashes of its retained environments in
+        retention order, as :func:`morgan_iterate` lists them.
+
+    Raises:
+        ConfigError: Negative radius.
+    """
+    molecule, _, hashes, _, _ = _environments(graphs, radius)
+    ends = np.cumsum(np.bincount(molecule, minlength=len(graphs)))
+    return np.split(hashes, ends[:-1])
+
+
 def initial_invariants(graph: MolecularGraph) -> list[int]:
     """Per-atom 64-bit starting values from local atom properties."""
-    values = []
-    for i, atom in enumerate(graph.atoms):
-        values.append(
-            _hash_ints(
-                [
-                    atom.element,
-                    graph.heavy_degree(i),
-                    atom.formal_charge,
-                    atom.total_h,
-                    int(atom.in_ring),
-                    int(atom.aromatic),
-                ]
-            )
-        )
-    return values
+    return _atoms([graph]).invariants.tolist()
 
 
 def morgan_iterate(graph: MolecularGraph, radius: int) -> list[AtomEnvironment]:
@@ -141,45 +359,16 @@ def morgan_iterate(graph: MolecularGraph, radius: int) -> list[AtomEnvironment]:
 
     Returns:
         Environments surviving deduplication, in retention order.
+
+    Raises:
+        ConfigError: Negative radius.
     """
-    n = len(graph.atoms)
-    hashes = initial_invariants(graph)
-    retained: list[AtomEnvironment] = []
-
-    seen_hashes: set[int] = set()
-    for center in sorted(range(n), key=lambda i: (hashes[i], i)):
-        if hashes[center] not in seen_hashes:
-            seen_hashes.add(hashes[center])
-            retained.append(AtomEnvironment(center, 0, hashes[center], frozenset()))
-
-    bond_sets: list[frozenset[int]] = [frozenset() for _ in range(n)]
-    seen_bond_sets: set[frozenset[int]] = {frozenset()}
-    for r in range(1, radius + 1):
-        new_hashes: list[int] = []
-        new_sets: list[frozenset[int]] = []
-        for center in range(n):
-            pairs = sorted(
-                (int(graph.bonds[b].order), hashes[nb])
-                for nb, b in graph.neighbor_bond_indices(center)
-            )
-            flat = [r, hashes[center]]
-            for order, neighbor_hash in pairs:
-                flat.append(order)
-                flat.append(neighbor_hash)
-            new_hashes.append(_hash_ints(flat))
-            covered = {b for _, b in graph.neighbor_bond_indices(center)}
-            for nb, _ in graph.neighbor_bond_indices(center):
-                covered |= bond_sets[nb]
-            new_sets.append(frozenset(covered))
-        for center in sorted(range(n), key=lambda i: (new_hashes[i], i)):
-            if new_sets[center] not in seen_bond_sets:
-                seen_bond_sets.add(new_sets[center])
-                retained.append(
-                    AtomEnvironment(center, r, new_hashes[center], new_sets[center])
-                )
-        hashes = new_hashes
-        bond_sets = new_sets
-    return retained
+    _, rounds, hashes, centers, masks = _environments([graph], radius)
+    bits = np.unpackbits(masks.astype("<u8").view(np.uint8), axis=1, bitorder="little")
+    return [
+        AtomEnvironment(center, r, h, frozenset(np.flatnonzero(row).tolist()))
+        for center, r, h, row in zip(centers.tolist(), rounds.tolist(), hashes.tolist(), bits)
+    ]
 
 
 def check_fingerprint_width(nbits: int) -> None:
@@ -188,6 +377,21 @@ def check_fingerprint_width(nbits: int) -> None:
         raise ConfigError(
             f"fingerprint width must be a power of two of at least 8, got {nbits}"
         )
+
+
+def check_fingerprint_radius(radius: int) -> None:
+    """Raise ConfigError unless ``radius`` is at least 0."""
+    if radius < 0:
+        raise ConfigError(f"fingerprint radius must be at least 0, got {radius}")
+
+
+def _fold(hashes: np.ndarray, nbits: int, radius: int) -> Fingerprint:
+    """Set bit ``hash mod nbits`` for every uint64 hash."""
+    check_fingerprint_width(nbits)
+    check_fingerprint_radius(radius)
+    vector = np.zeros(nbits, dtype=np.uint8)
+    vector[(hashes % np.uint64(nbits)).astype(np.intp)] = 1
+    return Fingerprint(data=np.packbits(vector).tobytes(), nbits=nbits, radius=radius)
 
 
 def fold_to_bits(
@@ -205,20 +409,33 @@ def fold_to_bits(
         The folded fingerprint.
 
     Raises:
-        ConfigError: Width not a power of two of at least 8.
+        ConfigError: Width not a power of two of at least 8, or a negative
+            radius.
     """
-    check_fingerprint_width(nbits)
     if radius is None:
         radius = max((env.radius for env in envs), default=0)
-    buffer = bytearray(nbits // 8)
-    for env in envs:
-        bit = env.hash % nbits
-        buffer[bit >> 3] |= 0x80 >> (bit & 7)
-    return Fingerprint(data=bytes(buffer), nbits=nbits, radius=radius)
+    return _fold(np.array([env.hash for env in envs], dtype=np.uint64), nbits, radius)
 
 
 def morgan_fingerprint(
-    graph: MolecularGraph, radius: int = DEFAULT_RADIUS, nbits: int = DEFAULT_NBITS
+    graph: MolecularGraph,
+    radius: int = DEFAULT_RADIUS,
+    nbits: int = DEFAULT_NBITS,
+    hashes: np.ndarray | None = None,
 ) -> Fingerprint:
-    """Generate, deduplicate, and fold in one call."""
-    return fold_to_bits(morgan_iterate(graph, radius), nbits, radius=radius)
+    """Generate, deduplicate, and fold in one call.
+
+    Args:
+        graph: Parsed molecule.
+        radius: Number of expansion rounds, recorded in the result.
+        nbits: Vector width; must be a power of two of at least 8.
+        hashes: The molecule's entry of :func:`morgan_hashes` at this
+            radius, folded as it is; hashed here when omitted.
+
+    Raises:
+        ConfigError: Negative radius, or a width not a power of two of at
+            least 8.
+    """
+    if hashes is None:
+        hashes = morgan_hashes([graph], radius)[0]
+    return _fold(hashes, nbits, radius)

@@ -242,6 +242,28 @@ def test_featurize_builds_each_bond_table_once(monkeypatch) -> None:
     assert len(calls) == len(smiles) - 1
 
 
+def test_featurize_hashes_each_chunk_once_over_its_placed_molecules(monkeypatch) -> None:
+    # One batched hash pass per chunk covers exactly the molecules the
+    # relax left placed: not the parse error, not the layout failures.
+    rng = random.Random(11)
+    smiles = [random_smiles(rng, max_atoms=25, ring_bias=0.7) for _ in range(40)]
+    smiles += ["C(", "C1CC2CCC1C2", "CCO"]
+    calls: list[int] = []
+    original = dataset.morgan_hashes
+
+    def counting(graphs, radius):
+        calls.append(len(graphs))
+        return original(graphs, radius)
+
+    monkeypatch.setattr(dataset, "morgan_hashes", counting)
+    examples, report = featurize_dataset([LabeledMolecule(s, 0) for s in smiles])
+    assert report.counts["parse-error"] == 1
+    assert report.counts["layout-failure"] >= 2
+    placed = len(smiles) - report.counts["parse-error"] - report.counts["layout-failure"]
+    assert calls == [placed]
+    assert len(examples) == placed - report.counts.get("does-not-fit", 0)
+
+
 def test_featurize_pool_never_larger_than_corpus(monkeypatch) -> None:
     requested: list[int] = []
 

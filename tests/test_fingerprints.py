@@ -2,7 +2,9 @@
 
 The 64-bit hash is checked against published FNV-1a test vectors and a
 from-scratch reimplementation; environment counts come from hand
-enumeration of small molecules (bond sets written out by hand).
+enumeration of small molecules (bond sets written out by hand).  The
+batched core is checked against a reference copy of the earlier
+one-molecule loop, which it must match environment for environment.
 """
 
 from __future__ import annotations
@@ -16,15 +18,17 @@ from molcap.errors import ConfigError
 from molcap.fingerprints import (
     AtomEnvironment,
     Fingerprint,
+    _hash_rows,
     fnv1a_64,
     fold_to_bits,
     initial_invariants,
     morgan_fingerprint,
+    morgan_hashes,
     morgan_iterate,
 )
-from molcap.smiles import parse_smiles
+from molcap.smiles import MolecularGraph, parse_smiles
 
-from util import permute_graph, random_smiles
+from util import DRUG_LIKE, WIDE_MOLECULES, permute_graph, random_smiles
 
 
 # --------------------------------------------------------------------------
@@ -267,3 +271,171 @@ def test_to_array_matches_get_bit() -> None:
     for i in range(0, 2048, 17):
         assert bool(arr[i]) == fp.get_bit(i)
     assert int(arr.sum()) == fp.popcount()
+
+
+def test_from_hex_rejects_widths_the_module_refuses() -> None:
+    for text in ("", "ffffff", "00" * 5, "ab" * 48):
+        with pytest.raises(ConfigError):
+            Fingerprint.from_hex(text)
+    assert Fingerprint.from_hex("80").nbits == 8
+
+
+def test_negative_radius_fails_loudly() -> None:
+    graph = parse_smiles("CCO")
+    with pytest.raises(ConfigError, match="radius must be at least 0"):
+        morgan_fingerprint(graph, radius=-1)
+    with pytest.raises(ConfigError):
+        morgan_iterate(graph, -1)
+    with pytest.raises(ConfigError):
+        morgan_hashes([graph], -1)
+    with pytest.raises(ConfigError):
+        morgan_fingerprint(graph, radius=-1, hashes=morgan_hashes([graph], 0)[0])
+    with pytest.raises(ConfigError):
+        fold_to_bits(morgan_iterate(graph, 1), 2048, radius=-1)
+    with pytest.raises(ConfigError):
+        Fingerprint.from_hex("00" * 256, radius=-1)
+
+
+# --------------------------------------------------------------------------
+# Batched core against the one-molecule reference loop
+
+
+def _reference_hash_ints(values: list[int]) -> int:
+    """Hash integers via their fixed 8-byte big-endian encodings."""
+    return fnv1a_64(b"".join((v % 2**64).to_bytes(8, "big") for v in values))
+
+
+def reference_morgan_iterate(graph: MolecularGraph, radius: int) -> list[AtomEnvironment]:
+    """The earlier one-molecule loop: invariants, rounds and bond-set dedup."""
+    n = len(graph.atoms)
+    hashes = [
+        _reference_hash_ints(
+            [atom.element, graph.heavy_degree(i), atom.formal_charge, atom.total_h,
+             int(atom.in_ring), int(atom.aromatic)]
+        )
+        for i, atom in enumerate(graph.atoms)
+    ]
+    retained: list[AtomEnvironment] = []
+    seen_hashes: set[int] = set()
+    for center in sorted(range(n), key=lambda i: (hashes[i], i)):
+        if hashes[center] not in seen_hashes:
+            seen_hashes.add(hashes[center])
+            retained.append(AtomEnvironment(center, 0, hashes[center], frozenset()))
+
+    bond_sets: list[frozenset[int]] = [frozenset() for _ in range(n)]
+    seen_bond_sets: set[frozenset[int]] = {frozenset()}
+    for r in range(1, radius + 1):
+        new_hashes: list[int] = []
+        new_sets: list[frozenset[int]] = []
+        for center in range(n):
+            pairs = sorted(
+                (int(graph.bonds[b].order), hashes[nb])
+                for nb, b in graph.neighbor_bond_indices(center)
+            )
+            flat = [r, hashes[center]]
+            for order, neighbor_hash in pairs:
+                flat += [order, neighbor_hash]
+            new_hashes.append(_reference_hash_ints(flat))
+            covered = {b for _, b in graph.neighbor_bond_indices(center)}
+            for nb, _ in graph.neighbor_bond_indices(center):
+                covered |= bond_sets[nb]
+            new_sets.append(frozenset(covered))
+        for center in sorted(range(n), key=lambda i: (new_hashes[i], i)):
+            if new_sets[center] not in seen_bond_sets:
+                seen_bond_sets.add(new_sets[center])
+                retained.append(
+                    AtomEnvironment(center, r, new_hashes[center], new_sets[center])
+                )
+        hashes = new_hashes
+        bond_sets = new_sets
+    return retained
+
+
+def reference_fold(envs: list[AtomEnvironment], nbits: int) -> bytes:
+    buffer = bytearray(nbits // 8)
+    for env in envs:
+        bit = env.hash % nbits
+        buffer[bit >> 3] |= 0x80 >> (bit & 7)
+    return bytes(buffer)
+
+
+# Charged atoms (negative charges enter the invariant in two's
+# complement), several components and isolated atoms.
+_ODD_SMILES = (
+    "[Na+].[Cl-]",
+    "[O-]C(=O)CC[N+](C)(C)C.[K+]",
+    "C.C.C",
+    "[Fe+3].[Cl-].[Cl-].[Cl-]",
+    "c1ccccc1.O.[NH4+]",
+    "[O-][N+](=O)c1ccc(cc1)[S-]",
+    "CC(=O)[O-].[Ca+2].CC(=O)[O-]",
+    "C1CC1.C1CC1",
+    "[CH3-]",
+)
+
+
+def _reference_corpus() -> list[MolecularGraph]:
+    rng = random.Random(0)
+    smiles = [random_smiles(rng, max_atoms=25, ring_bias=0.7) for _ in range(500)]
+    rng = random.Random(5)
+    smiles += [random_smiles(rng, max_atoms=40) for _ in range(200)]
+    smiles += list(WIDE_MOLECULES) + list(DRUG_LIKE) + list(_ODD_SMILES)
+    return [parse_smiles(s) for s in smiles]
+
+
+def test_core_matches_reference_loop() -> None:
+    graphs = _reference_corpus()
+    assert any(len(g.bonds) > 64 for g in graphs)
+    for radius in range(4):
+        batched = morgan_hashes(graphs, radius)
+        assert len(batched) == len(graphs)
+        for graph, hashes in zip(graphs, batched):
+            expected = reference_morgan_iterate(graph, radius)
+            assert morgan_iterate(graph, radius) == expected
+            assert hashes.dtype == np.uint64
+            assert hashes.tolist() == [env.hash for env in expected]
+            for nbits in (8, 2048):
+                data = reference_fold(expected, nbits)
+                assert morgan_fingerprint(graph, radius, nbits).data == data
+                assert morgan_fingerprint(graph, radius, nbits, hashes=hashes).data == data
+
+
+def test_molecule_hashes_the_same_alone_and_among_wider_ones() -> None:
+    # Molecules of more than 64 bonds widen the chunk's bond-set masks to
+    # several words; a narrow molecule's environments must not change.
+    wide = [parse_smiles(s) for s in WIDE_MOLECULES]
+    for smiles in DRUG_LIKE + _ODD_SMILES:
+        graph = parse_smiles(smiles)
+        alone = morgan_hashes([graph], 3)[0].tolist()
+        among = morgan_hashes(wide[:2] + [graph] + wide[2:], 3)[2].tolist()
+        assert among == alone
+
+
+def test_row_hash_matches_fnv1a_on_every_word_value() -> None:
+    # Words of 2**63 and above, negatives in two's complement, zero, and
+    # byte columns that are zero in every row.
+    rows = [
+        [0, 0, 0],
+        [-1, 2**63 - 1, 5],
+        [-(2**63), 1, 0],
+        [7, -2, 2**40],
+        [0, 255, -256],
+    ]
+    words = np.array(rows, dtype=np.int64)
+    expected = [_reference_hash_ints(row) for row in rows]
+    assert _hash_rows(words).tolist() == expected
+    unsigned = np.array([[2**63, 2**64 - 1], [2**63 + 5, 0]], dtype=np.uint64)
+    assert _hash_rows(unsigned).tolist() == [
+        _reference_hash_ints([2**63, 2**64 - 1]),
+        _reference_hash_ints([2**63 + 5, 0]),
+    ]
+    assert _hash_rows(np.zeros((4, 2), dtype=np.uint64)).tolist() == [
+        fnv1a_64(bytes(16))
+    ] * 4
+    assert _hash_rows(np.zeros((0, 3), dtype=np.int64)).shape == (0,)
+    rng = random.Random(3)
+    for width in (1, 2, 6, 10):
+        values = [[rng.choice((0, 1, -1, rng.getrandbits(64) - 2**63)) for _ in range(width)]
+                  for _ in range(20)]
+        got = _hash_rows(np.array(values, dtype=np.int64)).tolist()
+        assert got == [_reference_hash_ints(row) for row in values]
