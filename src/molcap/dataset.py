@@ -48,8 +48,23 @@ from .fingerprints import (
     morgan_fingerprint,
     morgan_hashes,
 )
-from .imaging import DEFAULT_SIDE, ChemImage, layout_2d, place_atoms, rasterize, relax_layouts
-from .maccs import N_KEYS, KeyDefinition, KeyVector, evaluate_keys, load_key_definitions
+from .imaging import (
+    DEFAULT_SIDE,
+    ChemImage,
+    PlacedBonds,
+    layout_2d,
+    place_atoms,
+    rasterize,
+    relax_layouts,
+)
+from .maccs import (
+    N_KEYS,
+    KeyDefinition,
+    KeyVector,
+    evaluate_keys,
+    key_answers,
+    load_key_definitions,
+)
 from .smiles import MolecularGraph, parse_smiles
 
 __all__ = [
@@ -228,10 +243,13 @@ def _featurize_chunk(
     """Per molecule, an example or the exclusion reason string.
 
     Every parsed molecule is placed, and one batched pass checks and
-    relaxes all placements.  One batched :func:`morgan_hashes` pass then
-    hashes every molecule the relax left placed, and each molecule goes
-    through :func:`layout_2d` (which raises for a placement the relax left
-    NaN), raster, the fold of its hashes into a fingerprint, and keys.
+    relaxes all placements and returns each one's placed-bond table.
+    The molecules the relax left placed then go, all at once, through
+    one :func:`morgan_hashes` pass and one :func:`key_answers` pass.  Each
+    molecule goes through :func:`layout_2d` (which raises for a placement
+    the relax left NaN), raster with the relax's bond table, the fold of
+    its hashes into a fingerprint, and :func:`evaluate_keys`, which adds
+    the counted keys to its row of key answers.
     """
     results: list[CaptionedExample | str] = [REASON_PARSE] * len(molecules)
     parsed = []
@@ -240,13 +258,25 @@ def _featurize_chunk(
             parsed.append((index, parse_smiles(molecule.smiles)))
         except SmilesError:
             pass
-    placements = [place_atoms(graph) for _, graph in parsed]
-    relax_layouts([graph for _, graph in parsed], placements)
+    graphs = [graph for _, graph in parsed]
+    placements = [place_atoms(graph) for graph in graphs]
+    bonds = relax_layouts(graphs, placements)
     placed = [k for k, positions in enumerate(placements) if not np.isnan(positions[:, 0]).all()]
-    hashes = dict(zip(placed, morgan_hashes([parsed[k][1] for k in placed], radius)))
-    for k, ((index, graph), positions) in enumerate(zip(parsed, placements)):
+    placed_graphs = [graphs[k] for k in placed]
+    hashes = dict(zip(placed, morgan_hashes(placed_graphs, radius)))
+    answers = dict(zip(placed, key_answers(placed_graphs, definitions)))
+    for k, (index, graph) in enumerate(parsed):
         results[index] = _featurize_one(
-            molecules[index], graph, positions, hashes.get(k), side, radius, nbits, definitions
+            molecules[index],
+            graph,
+            placements[k],
+            bonds[k],
+            hashes.get(k),
+            answers.get(k),
+            side,
+            radius,
+            nbits,
+            definitions,
         )
     return results
 
@@ -255,7 +285,9 @@ def _featurize_one(
     molecule: LabeledMolecule,
     graph: MolecularGraph,
     positions: np.ndarray,
+    bonds: PlacedBonds,
     hashes: np.ndarray | None,
+    answers: np.ndarray | None,
     side: int,
     radius: int,
     nbits: int,
@@ -263,21 +295,23 @@ def _featurize_one(
 ) -> CaptionedExample | str:
     """One parsed and relaxed molecule to an example, or the exclusion reason.
 
-    ``hashes`` is the molecule's entry of :func:`morgan_hashes`, or None
-    when the relax left it unplaced.
+    ``bonds`` is the molecule's placed-bond table from
+    :func:`relax_layouts`; ``hashes`` and ``answers`` are its entries of
+    :func:`morgan_hashes` and :func:`key_answers`, or None when the relax
+    left it unplaced.
     """
     try:
         layout = layout_2d(graph, positions)
     except LayoutFailureError:
         return REASON_LAYOUT
     try:
-        image = rasterize(graph, layout, side=side)
+        image = rasterize(graph, layout, side=side, bonds=bonds)
     except DoesNotFitError:
         return REASON_FIT
     return CaptionedExample(
         image=image,
         fingerprint=morgan_fingerprint(graph, radius=radius, nbits=nbits, hashes=hashes),
-        keys=evaluate_keys(graph, definitions),
+        keys=evaluate_keys(graph, definitions, answers),
         label=molecule.label,
     )
 
@@ -317,12 +351,16 @@ def featurize_dataset(
     each pool task is one chunk of at most ceil(n / workers) molecules.
     A chunk parses and places every molecule, checks and relaxes all
     placements in one batched pass (size buckets of padded coordinates,
-    each molecule with its own exits), and hashes the Morgan environments
-    of every molecule the relax left placed in one batched pass
-    (:func:`morgan_hashes`).  It then wraps each result with
+    each molecule with its own exits), then hashes the Morgan
+    environments (:func:`morgan_hashes`) and answers the structural keys
+    (:func:`key_answers`: one join per threshold-1 pattern key, counts
+    for the element and ring keys) of every molecule the relax left
+    placed, each in one batched pass.  It then wraps each result with
     :func:`layout_2d`, which raises for a placement the relax could not
-    repair, draws it, folds its hashes into a fingerprint and keys it.
-    Every output byte is the same for any chunking and worker count.
+    repair, draws it with the bond table the relax built, folds its
+    hashes into a fingerprint and keys it (:func:`evaluate_keys` adds the
+    few counted keys, pattern keys of a threshold above 1).  Every output
+    byte is the same for any chunking and worker count.
 
     Args:
         molecules: Loaded corpus, order preserved in the output.

@@ -45,6 +45,7 @@ from .smiles import BondOrder, MolecularGraph
 
 __all__ = [
     "Layout2D",
+    "PlacedBonds",
     "ChemImage",
     "layout_2d",
     "place_atoms",
@@ -64,6 +65,15 @@ MAX_RELAX_ITERATIONS = 200
 # A relax bucket of B molecules padded to M atoms has B * M * M <= this
 # many pairs, so each of its (B, 2, M, M) arrays stays near 1 MB.
 RELAX_BUCKET_PAIRS = 2**16
+
+
+class PlacedBonds(NamedTuple):
+    """The bonds between placed atoms, in graph bond order: end-atom
+    indices ``a`` and ``b`` and bond orders, one array each."""
+
+    a: np.ndarray
+    b: np.ndarray
+    order: np.ndarray
 
 
 @dataclass
@@ -342,22 +352,21 @@ def _open_direction(
     return best_angle
 
 
-def _placed_bonds(
-    graph: MolecularGraph, indices: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """End-atom index arrays (a, b) and orders of the bonds between placed atoms."""
+def _placed_bonds(graph: MolecularGraph, indices: np.ndarray) -> PlacedBonds:
+    """The bonds of ``graph`` between the placed atoms ``indices``."""
     placed = set(indices.tolist())
     rows = [(b.a, b.b, b.order) for b in graph.bonds if b.a in placed and b.b in placed]
     table = np.array(rows, dtype=np.intp).reshape(-1, 3)
-    return table[:, 0], table[:, 1], table[:, 2]
+    return PlacedBonds(table[:, 0], table[:, 1], table[:, 2])
 
 
 def _local_bonds(
     graph: MolecularGraph, indices: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Bond ends (a, b) between placed atoms, as rows of the sorted ``indices``."""
-    bond_a, bond_b, _ = _placed_bonds(graph, indices)
-    return np.searchsorted(indices, bond_a), np.searchsorted(indices, bond_b)
+) -> tuple[PlacedBonds, np.ndarray, np.ndarray]:
+    """The bonds between placed atoms, and their ends (a, b) as rows of
+    the sorted ``indices``."""
+    bonds = _placed_bonds(graph, indices)
+    return bonds, np.searchsorted(indices, bonds.a), np.searchsorted(indices, bonds.b)
 
 
 def _bond_vectors(
@@ -375,11 +384,12 @@ def _bond_vectors(
 
 class _Job(NamedTuple):
     """One molecule to check or relax: its (n, 2) coordinates, updated in
-    place, the sorted rows of its placed atoms and its bonds between them
-    as positions in ``indices``."""
+    place, the sorted rows of its placed atoms, and its bonds between
+    them, as a table in graph numbering and as positions in ``indices``."""
 
     positions: np.ndarray
     indices: np.ndarray
+    bonds: PlacedBonds
     bond_a: np.ndarray
     bond_b: np.ndarray
 
@@ -468,7 +478,9 @@ def _constraints_met(jobs: list[_Job]) -> np.ndarray:
     return _met(lengths, distances, mol)
 
 
-def relax_layouts(graphs: Sequence[MolecularGraph], placements: Sequence[np.ndarray]) -> None:
+def relax_layouts(
+    graphs: Sequence[MolecularGraph], placements: Sequence[np.ndarray]
+) -> list[PlacedBonds]:
     """Relax, in place, every placement that misses the distance constraints.
 
     ``placements[k]`` holds :func:`place_atoms` coordinates of
@@ -478,16 +490,20 @@ def relax_layouts(graphs: Sequence[MolecularGraph], placements: Sequence[np.ndar
     when it leaves its bucket comes back with every row NaN, which
     :func:`layout_2d` reports as a failure.  Each result is byte for byte
     the one the molecule gets in any other bucket, alone included.
+
+    Returns, per molecule, the table of its bonds between placed atoms
+    that the check and the relax used, for :func:`rasterize` to draw.
     """
-    jobs = [_job(graph, p) for graph, p in zip(graphs, placements) if len(p)]
+    jobs = [_job(graph, p) for graph, p in zip(graphs, placements)]
     missed = [
         job
-        for bucket in _buckets(jobs)
+        for bucket in _buckets([job for job in jobs if len(job.indices)])
         for job, met in zip(bucket, _constraints_met(bucket))
         if not met
     ]
     for bucket in _buckets(missed):
         _relax_bucket(bucket)
+    return [job.bonds for job in jobs]
 
 
 def _relax_bucket(jobs: list[_Job]) -> None:
@@ -578,7 +594,10 @@ def _grid_cells(points: np.ndarray, side: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def rasterize(
-    graph: MolecularGraph, layout: Layout2D, side: int = DEFAULT_SIDE
+    graph: MolecularGraph,
+    layout: Layout2D,
+    side: int = DEFAULT_SIDE,
+    bonds: PlacedBonds | None = None,
 ) -> ChemImage:
     """Draw the laid-out molecule onto a side x side grid.
 
@@ -586,6 +605,9 @@ def rasterize(
         graph: Parsed molecule.
         layout: Coordinates from :func:`layout_2d`.
         side: Grid size in pixels.
+        bonds: The table of bonds between the layout's placed atoms that
+            :func:`relax_layouts` returned with it; built from ``graph``
+            when omitted.
 
     Returns:
         ChemImage with intensities in [0, 1].
@@ -608,7 +630,7 @@ def rasterize(
 
     # Each bond is sampled like np.linspace(0, 1, n): sample k at
     # k * (1 / (n - 1)) and the last at exactly 1.
-    bond_a, bond_b, order = _placed_bonds(graph, indices)
+    bond_a, bond_b, order = _placed_bonds(graph, indices) if bonds is None else bonds
     _, lengths = _bond_vectors(scaled, bond_a, bond_b)
     counts = np.maximum(2, np.ceil(lengths * 4.0).astype(np.intp) + 1)
     ends = np.cumsum(counts)

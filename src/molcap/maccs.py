@@ -21,22 +21,41 @@ Kinds:
 
 Bit 0 is reserved so indices line up with the conventional 1-based key
 numbering.
+
+Keys are answered a featurize chunk at a time.  :func:`key_answers`
+builds one :class:`~molcap.substructure.ChunkIndex` of many molecules
+and answers every key whose bit one occurrence decides: each pattern key
+of threshold 1 by one join over the whole chunk
+(:func:`~molcap.substructure.embedded_molecules`), and every
+element-count and ring-size key, whatever its threshold, by per-molecule
+counts over the same arrays.  Pattern keys of a threshold above 1 (in
+the shipped file, keys 125, 131, 136, 138, 141 and 149) need that many
+distinct matched atom sets, which the join does not count; they are the
+*counted* keys, and :func:`evaluate_keys` answers them one molecule at a
+time with :func:`~molcap.substructure.match_subgraph`, which stops at
+the threshold.
 """
 
 from __future__ import annotations
 
 import os
-from collections import Counter
 from dataclasses import dataclass
 from importlib import resources
-from itertools import repeat
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
 from .errors import KeyFileError, MissingKeyError, PatternParseError, QueryError
 from .smiles import MolecularGraph
-from .substructure import MoleculeIndex, QueryPattern, match_subgraph, parse_query
+from .substructure import (
+    ChunkIndex,
+    MoleculeIndex,
+    QueryPattern,
+    embedded_molecules,
+    match_subgraph,
+    parse_query,
+)
 
 __all__ = [
     "KeyDefinition",
@@ -44,12 +63,15 @@ __all__ = [
     "N_KEYS",
     "default_key_path",
     "load_key_definitions",
+    "key_answers",
     "evaluate_keys",
 ]
 
 N_KEYS = 167
 
 _KINDS = ("pattern", "pattern-count", "element-count", "ring-size", "always-zero")
+# Atomic numbers run from 1 to 118.
+_ELEMENTS = 119
 
 
 @dataclass(frozen=True)
@@ -191,61 +213,104 @@ def _build_definition(
     )
 
 
-def _key_count(
-    graph: MolecularGraph,
-    definition: KeyDefinition,
-    index: MoleculeIndex,
-    elements: Counter[int],
-    ring_sizes: Counter[int],
-) -> int:
-    """Count occurrences, stopping at the threshold where possible.
+def _check_definitions(definitions: list[KeyDefinition]) -> None:
+    """Raise KeyFileError unless definition i is key i, for all 167."""
+    if len(definitions) != N_KEYS:
+        raise KeyFileError(f"expected {N_KEYS} definitions, got {len(definitions)}")
+    for position, definition in enumerate(definitions):
+        if definition.index != position:
+            raise KeyFileError(
+                f"definition {position} is key {definition.index}; "
+                "definitions must be in index order"
+            )
 
-    ``elements`` and ``ring_sizes`` count the molecule's atoms by element
-    and its basis rings by size.
+
+def key_answers(
+    graphs: Sequence[MolecularGraph], definitions: list[KeyDefinition]
+) -> np.ndarray:
+    """Answer every key but the counted ones for many molecules at once.
+
+    Args:
+        graphs: Parsed molecules.
+        definitions: The 167 loaded definitions, in index order.
+
+    Returns:
+        (len(graphs), 167) uint8: row k holds the bits of ``graphs[k]``;
+        the columns of counted keys (pattern keys of a threshold above
+        1) are zero, for :func:`evaluate_keys` to fill.
+
+    Raises:
+        KeyFileError: Not 167 definitions, or not in index order.
     """
-    if definition.kind in ("pattern", "pattern-count"):
-        assert definition.query is not None
-        return match_subgraph(
-            graph, definition.query, max_count=definition.threshold, index=index
-        ).count
-    if definition.kind == "element-count":
-        assert definition.elements is not None
-        return sum(map(elements.get, definition.elements, repeat(0)))
-    if definition.kind == "ring-size":
-        assert definition.ring_size is not None
-        if definition.ring_or_larger:
-            return sum(n for size, n in ring_sizes.items() if size >= definition.ring_size)
-        return ring_sizes.get(definition.ring_size, 0)
-    return 0
+    _check_definitions(definitions)
+    chunk = ChunkIndex(graphs)
+    answers = np.zeros((len(graphs), N_KEYS), dtype=np.uint8)
+    # Per molecule, its atoms by atomic number.
+    elements = np.bincount(
+        chunk.molecule * _ELEMENTS + chunk.elements, minlength=len(graphs) * _ELEMENTS
+    ).reshape(len(graphs), _ELEMENTS)
+    ring_sizes = np.array([len(ring) for g in graphs for ring in g.rings], dtype=np.intp)
+    ring_molecule = np.repeat(np.arange(len(graphs)), [len(g.rings) for g in graphs])
+    for definition in definitions:
+        if definition.query is not None:
+            if definition.threshold == 1:
+                answers[:, definition.index] = embedded_molecules(chunk, definition.query)
+            continue
+        if definition.kind == "element-count":
+            assert definition.elements is not None
+            counts = elements[:, sorted(definition.elements)].sum(axis=1)
+        elif definition.kind == "ring-size":
+            assert definition.ring_size is not None
+            size = definition.ring_size
+            sized = ring_sizes >= size if definition.ring_or_larger else ring_sizes == size
+            counts = np.bincount(ring_molecule[sized], minlength=len(graphs))
+        else:  # always-zero
+            continue
+        answers[:, definition.index] = counts >= definition.threshold
+    return answers
 
 
 def evaluate_keys(
-    graph: MolecularGraph, definitions: list[KeyDefinition]
+    graph: MolecularGraph,
+    definitions: list[KeyDefinition],
+    answers: np.ndarray | None = None,
 ) -> KeyVector:
     """Answer every key against one molecule.
 
     Args:
         graph: Parsed molecule.
-        definitions: The 167 loaded definitions.
+        definitions: The 167 loaded definitions, in index order.
+        answers: The molecule's row of :func:`key_answers` over a chunk
+            that holds it; computed here for ``graph`` alone when
+            omitted.
 
     Returns:
         The 167-bit vector; bit i is 1 iff key i's count reaches its
         threshold.
 
-    One :class:`~molcap.substructure.MoleculeIndex` of ``graph`` is built
-    here and shared by every pattern key; atoms are counted by element
-    and rings by size once, for every element-count and ring-size key.
+    Raises:
+        KeyFileError: Not 167 definitions, or not in index order, so
+            that a bit would land at the wrong index.
+
+    Every key that one occurrence decides (threshold-1 pattern keys) or
+    that counts atoms or rings is taken from ``answers``.  The counted
+    keys, pattern keys of a threshold above 1, need that many distinct
+    matched atom sets, which the chunk join does not count, so they are
+    answered here: one :class:`~molcap.substructure.MoleculeIndex` of
+    ``graph`` is shared by their
+    :func:`~molcap.substructure.match_subgraph` calls, each stopping at
+    its key's threshold.
     """
-    if len(definitions) != N_KEYS:
-        raise KeyFileError(f"expected {N_KEYS} definitions, got {len(definitions)}")
-    index = MoleculeIndex(graph)
-    elements = Counter(atom.element for atom in graph.atoms)
-    ring_sizes = Counter(len(ring) for ring in graph.rings)
-    bits = tuple(
-        1
-        if _key_count(graph, definition, index, elements, ring_sizes)
-        >= definition.threshold
-        else 0
-        for definition in definitions
-    )
-    return KeyVector(bits=bits)
+    _check_definitions(definitions)
+    if answers is None:
+        answers = key_answers([graph], definitions)[0]
+    bits = answers.tolist()
+    counted = [d for d in definitions if d.query is not None and d.threshold > 1]
+    if counted:
+        index = MoleculeIndex(graph)
+        for definition in counted:
+            count = match_subgraph(
+                graph, definition.query, max_count=definition.threshold, index=index
+            ).count
+            bits[definition.index] = 1 if count >= definition.threshold else 0
+    return KeyVector(bits=tuple(bits))

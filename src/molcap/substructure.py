@@ -27,12 +27,25 @@ refinement (J. ACM 23:31, 1976): a :class:`MoleculeIndex` keeps sets of
 one molecule's atoms as Python ints, and each step of a match intersects
 a query atom's candidate set with the neighbour sets of the atoms already
 matched.
+
+:func:`embedded_molecules` answers a yes/no question, whether a query
+has any embedding, for many molecules at once.  A :class:`ChunkIndex`
+numbers their atoms in one array and keeps their directed bonds sorted,
+and a join grows every partial embedding of the whole chunk one query
+atom at a time, as rows of a NumPy array.  Both indexes take their
+candidate atoms from one predicate function, on Python-int bitsets and
+on NumPy boolean arrays alike.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import attrgetter
+from typing import Sequence
+
+import numpy as np
 
 from .elements import AROMATIC_SYMBOLS, SYMBOL_TO_Z
 from .errors import MalformedPatternError, UnsupportedPrimitiveError
@@ -44,8 +57,11 @@ __all__ = [
     "QueryPattern",
     "MatchResult",
     "MoleculeIndex",
+    "ChunkIndex",
+    "JOIN_ROW_BUDGET",
     "parse_query",
     "match_subgraph",
+    "embedded_molecules",
 ]
 
 
@@ -92,6 +108,13 @@ _KINDS_OF_ORDER = {
     order: tuple(kind for kind, orders in enumerate(_BOND_KIND_ORDERS.values()) if order in orders)
     for order in BondOrder
 }
+# ``_ORDER_SATISFIES[kind, order]``: a bond of that order satisfies that kind.
+_ORDER_SATISFIES = np.array(
+    [
+        [kind in _KINDS_OF_ORDER.get(order, ()) for order in range(max(BondOrder) + 1)]
+        for kind in range(len(_BOND_KINDS))
+    ]
+)
 
 
 @dataclass
@@ -434,9 +457,10 @@ class MoleculeIndex:
     [i]`` holds the neighbours of atom ``i`` joined by a bond of that
     query bond kind (single, double, triple, aromatic, default, any).
     Candidate masks, the atoms satisfying each distinct query-atom
-    predicate, are built on first use from masks of the atoms by element,
-    charge, heavy degree and hydrogen count, and of the aromatic and ring
-    atoms.  The graph must not change while the index is in use.
+    predicate, are built on first use by :func:`_predicate_mask` from
+    masks of the atoms by element, charge, heavy degree and hydrogen
+    count, and of the aromatic and ring atoms.  The graph must not change
+    while the index is in use.
     """
 
     def __init__(self, graph: MolecularGraph) -> None:
@@ -448,15 +472,28 @@ class MoleculeIndex:
                 masks = self.bond_masks[kind]
                 masks[bond.a] |= 1 << bond.b
                 masks[bond.b] |= 1 << bond.a
-        self._all = (1 << n) - 1
         atoms = graph.atoms
+        self.all = (1 << n) - 1
+        self.none = 0
+        self.aromatic = _masks_by_value(atom.aromatic for atom in atoms).get(True, 0)
+        self.in_ring = _masks_by_value(atom.in_ring for atom in atoms).get(True, 0)
         self._by_element = _masks_by_value(atom.element for atom in atoms)
         self._by_charge = _masks_by_value(atom.formal_charge for atom in atoms)
         self._by_degree = _masks_by_value(map(graph.heavy_degree, range(n)))
         self._by_h = _masks_by_value(atom.total_h for atom in atoms)
-        self._aromatic = _masks_by_value(atom.aromatic for atom in atoms).get(True, 0)
-        self._in_ring = _masks_by_value(atom.in_ring for atom in atoms).get(True, 0)
         self._candidates: dict[str, int] = {}
+
+    def element(self, z: int) -> int:
+        return self._by_element.get(z, 0)
+
+    def charge(self, charge: int) -> int:
+        return self._by_charge.get(charge, 0)
+
+    def degree_at_least(self, minimum: int) -> int:
+        return _at_least(self._by_degree, minimum)
+
+    def h_at_least(self, minimum: int) -> int:
+        return _at_least(self._by_h, minimum)
 
     def candidates(self, query: QueryPattern) -> list[int]:
         """Mask of the molecule atoms satisfying each query atom, in order."""
@@ -465,30 +502,38 @@ class MoleculeIndex:
         except KeyError:
             for key, atom in zip(query.atom_keys, query.atoms):
                 if key not in self._candidates:
-                    self._candidates[key] = self._predicate_mask(atom)
+                    self._candidates[key] = _predicate_mask(atom, self)
             return list(map(self._candidates.__getitem__, query.atom_keys))
 
-    def _predicate_mask(self, atom: QueryAtom) -> int:
-        """Mask of the molecule atoms that satisfy every predicate of ``atom``."""
-        mask = self._all
-        if atom.elements is not None:
-            inside = 0
-            for z in atom.elements:
-                inside |= self._by_element.get(z, 0)
-            mask = mask & ~inside if atom.negate_elements else inside
-        if atom.aromatic is not None:
-            mask &= self._aromatic if atom.aromatic else ~self._aromatic
-        if atom.in_ring is not None:
-            mask &= self._in_ring if atom.in_ring else ~self._in_ring
-        if atom.charge == "nonzero":
-            mask &= ~self._by_charge.get(0, 0)
-        elif atom.charge is not None:
-            mask &= self._by_charge.get(atom.charge, 0)
-        if atom.min_degree is not None:
-            mask &= _at_least(self._by_degree, atom.min_degree)
-        if atom.min_h is not None:
-            mask &= _at_least(self._by_h, atom.min_h)
-        return mask
+
+def _predicate_mask(atom: QueryAtom, atoms):
+    """The atoms that satisfy every predicate of ``atom``.
+
+    ``atoms`` is a :class:`MoleculeIndex` or a :class:`ChunkIndex`: its
+    ``all``, ``none``, ``aromatic`` and ``in_ring`` sets and the sets its
+    methods return are Python-int bitsets or NumPy boolean arrays, and
+    this function only combines them with ``&``, ``|`` and ``~``, so it
+    means the same on both.
+    """
+    mask = atoms.all
+    if atom.elements is not None:
+        inside = atoms.none
+        for z in atom.elements:
+            inside = inside | atoms.element(z)
+        mask = mask & ~inside if atom.negate_elements else inside
+    if atom.aromatic is not None:
+        mask = mask & (atoms.aromatic if atom.aromatic else ~atoms.aromatic)
+    if atom.in_ring is not None:
+        mask = mask & (atoms.in_ring if atom.in_ring else ~atoms.in_ring)
+    if atom.charge == "nonzero":
+        mask = mask & ~atoms.charge(0)
+    elif atom.charge is not None:
+        mask = mask & atoms.charge(atom.charge)
+    if atom.min_degree is not None:
+        mask = mask & atoms.degree_at_least(atom.min_degree)
+    if atom.min_h is not None:
+        mask = mask & atoms.h_at_least(atom.min_h)
+    return mask
 
 
 def _masks_by_value(values) -> dict:
@@ -502,6 +547,90 @@ def _masks_by_value(values) -> dict:
 def _at_least(masks_by_value: dict[int, int], minimum: int) -> int:
     """Mask of the atoms whose value is at least ``minimum``."""
     return sum(mask for value, mask in masks_by_value.items() if value >= minimum)
+
+
+_ATOM_FIELDS = attrgetter(
+    "element", "formal_charge", "explicit_h", "implicit_h", "aromatic", "in_ring"
+)
+_BOND_FIELDS = attrgetter("a", "b", "order")
+
+# Partial embeddings one join step may build; a step that would build
+# more goes over its rows in halves.  Rows hold one intp per matched
+# query atom, so a step stays near a few MB.
+JOIN_ROW_BUDGET = 2**15
+
+
+class ChunkIndex:
+    """Array tables of many molecules, shared by every query joined on them.
+
+    Atoms are numbered chunk-wide, molecule after molecule; per atom,
+    ``molecule``, ``elements``, ``charges``, ``degree`` (heavy degree),
+    ``hydrogens`` (total H), ``aromatic`` and ``in_ring`` are arrays.
+    Every bond is stored in both directions, sorted by (source, target):
+    the bonds leaving atom ``i`` are ``first[i]:first[i + 1]``, with
+    neighbours ``targets`` and sorted keys ``edge_keys`` (source *
+    atom count + target), and ``bond_kinds[kind]`` marks those that
+    satisfy query bond kind ``kind``.  Candidate masks, one boolean
+    array per distinct query-atom predicate, are built on first use by
+    the :func:`_predicate_mask` that :class:`MoleculeIndex` uses.  A
+    pair of atoms is assumed to share at most one bond, as in every
+    graph :func:`~molcap.smiles.parse_smiles` returns.
+    """
+
+    def __init__(self, graphs: Sequence[MolecularGraph]) -> None:
+        atom_counts = np.array([len(g.atoms) for g in graphs], dtype=np.intp)
+        bond_counts = np.array([len(g.bonds) for g in graphs], dtype=np.intp)
+        n, n_bonds = int(atom_counts.sum()), int(bond_counts.sum())
+        fields = np.fromiter(
+            chain.from_iterable(map(_ATOM_FIELDS, chain.from_iterable(g.atoms for g in graphs))),
+            dtype=np.intp,
+            count=6 * n,
+        ).reshape(n, 6)
+        bonds = np.fromiter(
+            chain.from_iterable(map(_BOND_FIELDS, chain.from_iterable(g.bonds for g in graphs))),
+            dtype=np.int64,
+            count=3 * n_bonds,
+        ).reshape(n_bonds, 3)
+        self.n_molecules = len(graphs)
+        self.n_atoms = n
+        self.molecule = np.repeat(np.arange(len(graphs)), atom_counts)
+        atom_start = np.cumsum(atom_counts) - atom_counts
+        ends = bonds[:, :2] + np.repeat(atom_start, bond_counts)[:, None]
+        keys = np.concatenate((ends[:, 0] * n + ends[:, 1], ends[:, 1] * n + ends[:, 0]))
+        by_key = np.argsort(keys)
+        self.edge_keys = keys[by_key]
+        self.targets = self.edge_keys % max(n, 1)
+        self.bond_kinds = _ORDER_SATISFIES[:, np.tile(bonds[:, 2], 2)[by_key]]
+        self.degree = np.bincount(self.edge_keys // max(n, 1), minlength=n)
+        self.first = np.concatenate(([0], np.cumsum(self.degree)))
+        self.elements = fields[:, 0]
+        self.charges = fields[:, 1]
+        self.hydrogens = fields[:, 2] + fields[:, 3]
+        self.all = np.ones(n, dtype=bool)
+        self.none = np.zeros(n, dtype=bool)
+        self.aromatic = fields[:, 4].astype(bool)
+        self.in_ring = fields[:, 5].astype(bool)
+        self._candidates: dict[str, tuple[np.ndarray, int]] = {}
+
+    def element(self, z: int) -> np.ndarray:
+        return self.elements == z
+
+    def charge(self, charge: int) -> np.ndarray:
+        return self.charges == charge
+
+    def degree_at_least(self, minimum: int) -> np.ndarray:
+        return self.degree >= minimum
+
+    def h_at_least(self, minimum: int) -> np.ndarray:
+        return self.hydrogens >= minimum
+
+    def candidates(self, query: QueryPattern) -> list[tuple[np.ndarray, int]]:
+        """(mask, count) of the chunk atoms satisfying each query atom, in order."""
+        for key, atom in zip(query.atom_keys, query.atoms):
+            if key not in self._candidates:
+                mask = _predicate_mask(atom, self)
+                self._candidates[key] = mask, int(np.count_nonzero(mask))
+        return list(map(self._candidates.__getitem__, query.atom_keys))
 
 
 def match_subgraph(
@@ -583,6 +712,90 @@ def match_subgraph(
             if max_count is not None and len(matches) >= max_count:
                 break
     return MatchResult(len(matches), first)
+
+
+def embedded_molecules(chunk: ChunkIndex, query: QueryPattern) -> np.ndarray:
+    """Per molecule of ``chunk``, whether ``query`` embeds in it at least once.
+
+    A join over the whole chunk.  It starts from the query atom with the
+    fewest candidate atoms in the chunk (lowest index on ties), one row
+    per candidate, and grows every row by one query atom per step of
+    that atom's :meth:`QueryPattern.plan`: the bonds leaving the atom
+    matched to the step's first back bond, kept where the bond kind fits,
+    the new atom is a candidate and differs from the atoms already in the
+    row, and every further back bond (a ring closure) is found among the
+    sorted ``edge_keys``.  A molecule answers yes when a row of it
+    survives the last step.  A step that would build more than
+    JOIN_ROW_BUDGET rows goes over its rows in halves; once rows have
+    been split, rows of molecules already answered are dropped.  Any one
+    embedding is enough, so matched atom sets are not deduplicated.
+    """
+    found = np.zeros(chunk.n_molecules, dtype=bool)
+    candidates = chunk.candidates(query)
+    sizes = [size for _, size in candidates]
+    if not all(sizes):
+        return found
+    plan = query.plan(sizes.index(min(sizes)))
+    column = {q: depth for depth, (q, _) in enumerate(plan)}
+    steps = [(candidates[q][0], [(column[nb], kind) for nb, kind in back]) for q, back in plan[1:]]
+    pending = [np.flatnonzero(candidates[plan[0][0]][0])[:, None]]
+    split = False
+    while pending:
+        rows = pending.pop()
+        if split:
+            rows = rows[~found[chunk.molecule[rows[:, 0]]]]
+        if not len(rows):
+            continue
+        if rows.shape[1] == len(plan):
+            found[chunk.molecule[rows[:, 0]]] = True
+            continue
+        mask, back = steps[rows.shape[1] - 1]
+        anchor = rows[:, back[0][0]]
+        count = chunk.degree[anchor]
+        if len(rows) > 1 and count.sum() > JOIN_ROW_BUDGET:
+            half = len(rows) // 2
+            pending += [rows[half:], rows[:half]]
+            split = True
+        else:
+            pending.append(_extend(chunk, rows, anchor, count, mask, back))
+    return found
+
+
+def _extend(
+    chunk: ChunkIndex,
+    rows: np.ndarray,
+    anchor: np.ndarray,
+    count: np.ndarray,
+    mask: np.ndarray,
+    back: list[tuple[int, int]],
+) -> np.ndarray:
+    """One join step: ``rows`` grown by one column, the next query atom.
+
+    Builds one candidate row per bond leaving each row's ``anchor`` atom
+    (``count`` of them per row, ``count.sum()`` in all) and keeps those
+    whose bond satisfies the first back bond's kind, whose new atom is in
+    ``mask`` and not yet in the row, and which have every further back
+    bond, of its kind, to the atom in that bond's column.
+    """
+    ends = np.cumsum(count)
+    parent = np.repeat(np.arange(len(rows)), count)
+    edge = np.arange(ends[-1]) + np.repeat(chunk.first[anchor] - ends + count, count)
+    target = chunk.targets[edge]
+    keep = mask[target] & chunk.bond_kinds[back[0][1]][edge]
+    target = target[keep]
+    parents = rows[parent[keep]]
+    keep = np.ones(len(target), dtype=bool)
+    for column in range(rows.shape[1]):
+        if column != back[0][0]:  # a bond's two ends always differ
+            keep &= parents[:, column] != target
+    for column, kind in back[1:]:
+        key = parents[:, column] * chunk.n_atoms + target
+        at = np.minimum(np.searchsorted(chunk.edge_keys, key), len(chunk.edge_keys) - 1)
+        keep &= (chunk.edge_keys[at] == key) & chunk.bond_kinds[kind][at]
+    grown = np.empty((np.count_nonzero(keep), rows.shape[1] + 1), dtype=rows.dtype)
+    grown[:, :-1] = parents[keep]
+    grown[:, -1] = target[keep]
+    return grown
 
 
 def _query_order(query: QueryPattern, start: int) -> list[int]:

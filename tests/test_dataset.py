@@ -264,6 +264,50 @@ def test_featurize_hashes_each_chunk_once_over_its_placed_molecules(monkeypatch)
     assert len(examples) == placed - report.counts.get("does-not-fit", 0)
 
 
+def test_featurize_keys_each_chunk_once_over_its_placed_molecules(monkeypatch) -> None:
+    # One chunk-wide key pass per chunk covers exactly the molecules the
+    # relax left placed: not the parse error, not the layout failures.
+    rng = random.Random(11)
+    smiles = [random_smiles(rng, max_atoms=25, ring_bias=0.7) for _ in range(40)]
+    smiles += ["C(", "C1CC2CCC1C2", "CCO"]
+    calls: list[int] = []
+    original = dataset.key_answers
+
+    def counting(graphs, definitions):
+        calls.append(len(graphs))
+        return original(graphs, definitions)
+
+    monkeypatch.setattr(dataset, "key_answers", counting)
+    examples, report = featurize_dataset([LabeledMolecule(s, 0) for s in smiles])
+    assert report.counts["parse-error"] == 1
+    assert report.counts["layout-failure"] >= 2
+    placed = len(smiles) - report.counts["parse-error"] - report.counts["layout-failure"]
+    assert calls == [placed]
+    assert len(examples) == placed - report.counts.get("does-not-fit", 0)
+    alone = [featurize_dataset([LabeledMolecule(s, 0)])[0] for s in smiles]
+    assert [e.keys for e in examples] == [found[0].keys for found in alone if found]
+
+
+def test_featurize_builds_each_placed_bond_table_once(monkeypatch) -> None:
+    # The raster draws the bond table the relax built, so every parsed
+    # molecule's table is built once, drawn or not.
+    rng = random.Random(11)
+    smiles = [random_smiles(rng, max_atoms=25, ring_bias=0.7) for _ in range(40)]
+    smiles += ["C(", "C1CC2CCC1C2", "CCO"]
+    calls: list[int] = []
+    original = molcap.imaging._placed_bonds
+
+    def counting(graph, indices):
+        calls.append(len(indices))
+        return original(graph, indices)
+
+    monkeypatch.setattr(molcap.imaging, "_placed_bonds", counting)
+    examples, report = featurize_dataset([LabeledMolecule(s, 0) for s in smiles])
+    assert report.counts["parse-error"] == 1
+    assert len(examples) >= 25
+    assert len(calls) == len(smiles) - 1
+
+
 def test_featurize_pool_never_larger_than_corpus(monkeypatch) -> None:
     requested: list[int] = []
 

@@ -3,7 +3,8 @@
 Key evaluation is cross-checked two ways: against full-count matcher
 calls without the early-exit cap (every key, 50 molecules), and against
 the permutation brute-force oracle from the substructure tests on the
-small-pattern subset.
+small-pattern subset.  The chunk-wide key pass is checked the same two
+ways, key by key, in chunks and one molecule at a time.
 """
 
 from __future__ import annotations
@@ -14,19 +15,21 @@ import random
 import numpy as np
 import pytest
 
+from molcap import substructure
 from molcap.errors import KeyFileError, MissingKeyError, PatternParseError
 from molcap.maccs import (
     N_KEYS,
     KeyVector,
     default_key_path,
     evaluate_keys,
+    key_answers,
     load_key_definitions,
 )
 from molcap.smiles import parse_smiles
-from molcap.substructure import match_subgraph
+from molcap.substructure import MoleculeIndex, match_subgraph
 
 from test_substructure import oracle_match_sets
-from util import WIDE_MOLECULES, featurize_corpus, permute_graph, random_smiles
+from util import DRUG_LIKE, WIDE_MOLECULES, featurize_corpus, permute_graph, random_smiles
 
 CORPUS = [
     "C",
@@ -274,6 +277,19 @@ def test_wrong_definition_count_rejected(definitions) -> None:
         evaluate_keys(parse_smiles("C"), definitions[:100])
 
 
+def test_definitions_out_of_index_order_rejected(definitions) -> None:
+    # Bits are placed by definition.index; a list in any other order
+    # would put answers at the wrong index, so it is refused.
+    shuffled = list(definitions)
+    random.Random(3).shuffle(shuffled)
+    graph = parse_smiles("c1ccccc1O")
+    for wrong in (shuffled, [definitions[0]] * N_KEYS):
+        with pytest.raises(KeyFileError, match="index order"):
+            evaluate_keys(graph, wrong)
+        with pytest.raises(KeyFileError, match="index order"):
+            key_answers([graph], wrong)
+
+
 # --------------------------------------------------------------------------
 # Agreement with uncapped matching and with the permutation oracle
 
@@ -304,6 +320,133 @@ def test_pattern_keys_agree_with_permutation_oracle(definitions) -> None:
         for d in small_keys:
             expected = 1 if len(oracle_match_sets(graph, d.query)) >= d.threshold else 0
             assert vector.bits[d.index] == expected, (d.index, smiles)
+
+
+# --------------------------------------------------------------------------
+# The chunk-wide key pass
+
+# Bridged molecules the placer cannot draw, and the crowded acyclic one.
+NAMED = (
+    "C1CC2CCC1C2",
+    "C12C3C4C1C5C2C3C45",
+    "CC(C)(C)C(C(C)(C)C)(C(C)(C)C)C(C)(C)C(C)(C)C(C)(C)C",
+)
+
+
+def _chunk_corpus() -> list[str]:
+    ring_rich = random.Random(0)
+    wide = random.Random(5)
+    return (
+        featurize_corpus()
+        + list(DRUG_LIKE)
+        + list(WIDE_MOLECULES)
+        + list(NAMED)
+        + CORPUS
+        + [random_smiles(ring_rich, max_atoms=25, ring_bias=0.7) for _ in range(500)]
+        + [random_smiles(wide, max_atoms=40) for _ in range(200)]
+    )
+
+
+def _expected_row(graph, definitions) -> list[int]:
+    """The key_answers row of ``graph`` from uncapped matcher calls and
+    direct counts; counted keys (pattern keys of a threshold above 1)
+    are zero."""
+    index = MoleculeIndex(graph)
+    rings = [len(ring) for ring in graph.rings]
+    row = []
+    for d in definitions:
+        if d.query is not None:
+            hit = d.threshold == 1 and match_subgraph(graph, d.query, index=index).count >= 1
+        elif d.kind == "element-count":
+            hit = sum(atom.element in d.elements for atom in graph.atoms) >= d.threshold
+        elif d.kind == "ring-size":
+            sizes = [r for r in rings if r == d.ring_size or (d.ring_or_larger and r > d.ring_size)]
+            hit = len(sizes) >= d.threshold
+        else:
+            hit = False
+        row.append(int(hit))
+    return row
+
+
+def test_key_answers_match_uncapped_matcher_in_chunks_and_alone(definitions) -> None:
+    graphs = [parse_smiles(s) for s in _chunk_corpus()]
+    chunked = np.concatenate(
+        [key_answers(graphs[i : i + 256], definitions) for i in range(0, len(graphs), 256)]
+    )
+    assert chunked.shape == (len(graphs), N_KEYS) and chunked.dtype == np.uint8
+    for k, graph in enumerate(graphs):
+        assert chunked[k].tolist() == _expected_row(graph, definitions), k
+        if k % 4 == 0:
+            assert np.array_equal(key_answers([graph], definitions)[0], chunked[k]), k
+
+
+def test_key_answers_agree_with_permutation_oracle(definitions) -> None:
+    small = [s for s in CORPUS + featurize_corpus() if len(parse_smiles(s).atoms) <= 7]
+    keys = [
+        d for d in definitions
+        if d.query is not None and d.threshold == 1 and len(d.query.atoms) <= 4
+    ]
+    assert len(small) >= 30 and len(keys) >= 40
+    graphs = [parse_smiles(s) for s in small]
+    answers = key_answers(graphs, definitions)
+    for graph, row in zip(graphs, answers):
+        for d in keys:
+            assert row[d.index] == (1 if oracle_match_sets(graph, d.query) else 0), d.index
+
+
+def test_evaluate_keys_gives_the_same_bits_from_chunk_answers(definitions) -> None:
+    graphs = [parse_smiles(s) for s in featurize_corpus(count=60) + list(NAMED)]
+    for graph, row in zip(graphs, key_answers(graphs, definitions)):
+        assert evaluate_keys(graph, definitions, row) == evaluate_keys(graph, definitions)
+
+
+def test_molecule_keys_the_same_alone_and_among_wider_ones(definitions) -> None:
+    rng = random.Random(8)
+    wider = [parse_smiles(random_smiles(rng, max_atoms=40)) for _ in range(30)]
+    for smiles in ("c1ccccc1O", "CC(=O)[O-]", "C1CC2CCC1C2", "C", "[Na+].[Cl-]"):
+        graph = parse_smiles(smiles)
+        alone = key_answers([graph], definitions)[0]
+        among = key_answers(wider[:15] + [graph] + wider[15:], definitions)[15]
+        assert np.array_equal(alone, among), smiles
+
+
+def _path_key_file(tmp_path):
+    path = tmp_path / "paths.tsv"
+    lines = ["0\talways-zero\t\t1\treserved bit kept at zero"]
+    lines.append("1\tpattern\t*~*~*~*~*~*\t1\tsix-atom path of any bonds")
+    lines.append("2\tpattern\t*1~*~*~*~*~1\t1\tfive-ring of any bonds")
+    for i in range(3, 167):
+        lines.append(f"{i}\talways-zero\t\t1\tfiller key kept at zero")
+    path.write_text("\n".join(lines) + "\n")
+    return load_key_definitions(path)
+
+
+@pytest.mark.parametrize("budget", [None, 64])
+def test_join_keeps_each_step_under_the_row_budget(monkeypatch, tmp_path, budget) -> None:
+    # In sixteen copies of the wide molecules the last step of the path
+    # would build about 36k rows, more than the default budget; a budget
+    # of 64 rows splits every step.
+    definitions = _path_key_file(tmp_path)
+    if budget is not None:
+        monkeypatch.setattr(substructure, "JOIN_ROW_BUDGET", budget)
+    steps: list[int] = []
+    original = substructure._extend
+
+    def recording(chunk, rows, anchor, count, mask, back):
+        steps.append(int(count.sum()))
+        return original(chunk, rows, anchor, count, mask, back)
+
+    monkeypatch.setattr(substructure, "_extend", recording)
+    graphs = [parse_smiles(s) for s in WIDE_MOLECULES * 16 + ("CC", "C1CCCC1")]
+    answers = key_answers(graphs, definitions)
+    # Five steps for the path, four for the ring, and more once split.
+    assert len(steps) > 9
+    assert max(steps) <= substructure.JOIN_ROW_BUDGET
+    for graph, row in zip(graphs, answers):
+        for d in definitions[1:3]:
+            assert row[d.index] == match_subgraph(graph, d.query, max_count=1).count
+    assert answers[-6:, 1].tolist() == [1, 1, 1, 1, 0, 0]
+    assert answers[-6:, 2].tolist() == [0, 0, 1, 0, 0, 1]
 
 
 # --------------------------------------------------------------------------

@@ -13,17 +13,20 @@ import hashlib
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from molcap.errors import MalformedPatternError, UnsupportedPrimitiveError
 from molcap.maccs import load_key_definitions
 from molcap.smiles import BondOrder, MolecularGraph, parse_smiles
 from molcap.substructure import (
+    ChunkIndex,
     MatchResult,
     MoleculeIndex,
     QueryAtom,
     QueryBond,
     QueryPattern,
+    embedded_molecules,
     match_subgraph,
     parse_query,
 )
@@ -361,6 +364,45 @@ def test_candidate_masks_agree_with_atom_predicates() -> None:
                 for atom in query.atoms
             ]
             assert index.candidates(query) == expected, (smiles, query)
+
+
+def test_chunk_candidate_masks_agree_with_molecule_masks() -> None:
+    # One predicate function serves both carriers: the chunk's boolean
+    # arrays, cut per molecule, are the molecule index's bitsets.
+    rng = random.Random(6)
+    queries = [d.query for d in load_key_definitions() if d.query is not None]
+    queries += [_random_query(rng) for _ in range(200)]
+    queries += [parse_query(p) for p in ("[+]", "[-2]", "[!+0]", "[D4]", "[H0]", "[!#6;!#7]")]
+    graphs = [parse_smiles(s) for s in featurize_corpus(count=30) + ["C[N+](C)(C)C.[O-2]"]]
+    chunk = ChunkIndex(graphs)
+    ends = np.cumsum([len(g.atoms) for g in graphs])
+    for query in queries:
+        per_molecule = [np.split(mask, ends[:-1]) for mask, _ in chunk.candidates(query)]
+        for k, graph in enumerate(graphs):
+            expected = MoleculeIndex(graph).candidates(query)
+            got = [sum(1 << int(m) for m in np.flatnonzero(part[k])) for part in per_molecule]
+            assert got == expected, (k, query)
+
+
+def test_join_agrees_with_oracle_on_random_pairs() -> None:
+    rng = random.Random(4343)
+    graphs = [parse_smiles(random_smiles(rng, max_atoms=8)) for _ in range(40)]
+    chunk = ChunkIndex(graphs)
+    queries = [_random_query(rng) for _ in range(150)]
+    queries += [parse_query(p) for p in ("C1CC1", "*1~*~*~*~1", "c1ccccc1", "C=O", "*")]
+    for query in queries:
+        found = embedded_molecules(chunk, query)
+        assert found.dtype == bool and found.shape == (len(graphs),)
+        expected = [bool(oracle_match_sets(graph, query)) for graph in graphs]
+        assert found.tolist() == expected, query
+
+
+def test_join_on_empty_and_bondless_chunks() -> None:
+    query = parse_query("C~C")
+    assert embedded_molecules(ChunkIndex([]), query).tolist() == []
+    graphs = [parse_smiles(s) for s in ("C", "[Na+].[Cl-]", "CC")]
+    assert embedded_molecules(ChunkIndex(graphs), query).tolist() == [False, False, True]
+    assert embedded_molecules(ChunkIndex(graphs[:2]), parse_query("C1CC1")).tolist() == [False, False]
 
 
 def test_shared_index_gives_the_same_result_as_a_fresh_one() -> None:
