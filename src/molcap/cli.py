@@ -175,7 +175,7 @@ def cmd_cv(args: argparse.Namespace) -> int:
         blocks_per_stage=args.blocks,
         filters=args.filters,
         image_side=data.side,
-        fp_width=data.fingerprints.shape[1],
+        fp_width=8 * data.fingerprints.shape[1],
         keys_width=data.keys.shape[1],
         use_fingerprint=use_fp,
         use_keys=use_maccs,

@@ -96,7 +96,8 @@ REASON_LAYOUT = "layout-failure"
 REASON_FIT = "does-not-fit"
 
 _CACHE_MAGIC = b"MCAP"
-_CACHE_VERSION = 1
+# Version 2 stores each raster as uint8 palette codes; version 1 stored float32.
+_CACHE_VERSION = 2
 _HEADER = struct.Struct("<4sHHQHHH32s")
 # The header keeps the image side and fingerprint width as uint16.
 _MAX_SIDE = 0xFFFF
@@ -161,7 +162,14 @@ class DatasetSplit:
 
 @dataclass(frozen=True)
 class CachedDataset:
-    """Featurized corpus unpacked into training-ready arrays."""
+    """Featurized corpus in compact arrays; training decodes it per batch.
+
+    Attributes:
+        images: (n, side, side) uint8 codes into ``imaging.PALETTE``.
+        fingerprints: (n, nbits / 8) uint8 packed bits, high bit first.
+        keys: (n, 167) uint8 bits.
+        labels: (n,) uint8.
+    """
 
     images: np.ndarray
     fingerprints: np.ndarray
@@ -503,8 +511,9 @@ def augment_image(image: ChemImage, rng: np.random.Generator) -> ChemImage:
     """Random quarter-turn rotation plus small zero-padded translation.
 
     Draws, in order: quarter turns k from {0,1,2,3}, column shift dx
-    from [-5, 5], row shift dy from [-5, 5].  Content shifted past the
-    border is dropped; vacated pixels are zero.
+    from [-5, 5], row shift dy from [-5, 5].  The codes move, so the
+    decoded pixels move with them.  Content shifted past the border is
+    dropped; vacated pixels get code 0, which decodes to 0.0.
 
     Args:
         image: Source image, not modified.
@@ -516,15 +525,15 @@ def augment_image(image: ChemImage, rng: np.random.Generator) -> ChemImage:
     k = int(rng.integers(4))
     dx = int(rng.integers(-5, 6))
     dy = int(rng.integers(-5, 6))
-    pixels = np.rot90(image.pixels, k=k)
-    shifted = np.zeros_like(pixels)
+    codes = np.rot90(image.codes, k=k)
+    shifted = np.zeros_like(codes)
     side = image.side
     src_rows = slice(max(0, -dy), side - max(0, dy))
     dst_rows = slice(max(0, dy), side - max(0, -dy))
     src_cols = slice(max(0, -dx), side - max(0, dx))
     dst_cols = slice(max(0, dx), side - max(0, -dx))
-    shifted[dst_rows, dst_cols] = pixels[src_rows, src_cols]
-    return ChemImage(pixels=shifted, side=side)
+    shifted[dst_rows, dst_cols] = codes[src_rows, src_cols]
+    return ChemImage(codes=shifted, side=side)
 
 
 # --------------------------------------------------------------------------
@@ -543,11 +552,11 @@ def corpus_digest(molecules: Sequence[LabeledMolecule]) -> str:
 
 
 def _record_dtype(side: int, nbits: int) -> np.dtype:
-    """One packed cache record: label, raster, then packed fingerprint and keys."""
+    """One packed cache record: label, raster codes, then packed fingerprint and keys."""
     return np.dtype(
         [
             ("label", "u1"),
-            ("image", "<f4", (side, side)),
+            ("image", "u1", (side, side)),
             ("fingerprint", "u1", (nbits // 8,)),
             ("keys", "u1", (math.ceil(N_KEYS / 8),)),
         ]
@@ -562,17 +571,17 @@ def _pack_records(examples: Sequence[CaptionedExample]) -> np.ndarray:
         raise CacheError("examples disagree on image or fingerprint size")
     records = np.empty(len(examples), dtype=_record_dtype(side, nbits))
     records["label"] = [e.label for e in examples]
-    np.stack([e.image.pixels for e in examples], out=records["image"])
+    np.stack([e.image.codes for e in examples], out=records["image"])
     records["fingerprint"] = [np.frombuffer(e.fingerprint.data, np.uint8) for e in examples]
     records["keys"] = np.packbits([e.keys.to_array() for e in examples], axis=1)
     return records
 
 
 def _unpack_records(records: np.ndarray, corpus_hash: str) -> CachedDataset:
-    """Training-ready arrays from cache records; none is a view of them."""
+    """The dataset arrays of cache records; none is a view of them."""
     return CachedDataset(
-        images=records["image"].astype(np.float32),
-        fingerprints=np.unpackbits(records["fingerprint"], axis=1),
+        images=records["image"].copy(),
+        fingerprints=records["fingerprint"].copy(),
         keys=np.unpackbits(records["keys"], axis=1, count=N_KEYS),
         labels=records["label"].copy(),
         corpus_hash=corpus_hash,
@@ -616,18 +625,20 @@ def write_cache(
 def read_cache(
     path: str | Path, expected_hash: str | None = None
 ) -> CachedDataset:
-    """Load a cache file back into training-ready arrays.
+    """Load a cache file back into the arrays training reads.
 
     Args:
         path: File written by :func:`write_cache`.
         expected_hash: When given, the stored corpus hash must match.
 
     Returns:
-        CachedDataset with images (n, side, side) float32, fingerprints
-        (n, nbits) uint8 in {0,1}, keys (n, 167) uint8, labels (n,).
+        CachedDataset with images (n, side, side) uint8 palette codes,
+        fingerprints (n, nbits / 8) packed uint8, keys (n, 167) uint8 in
+        {0, 1} and labels (n,).
 
     Raises:
-        CacheError: Bad magic, unsupported version, wrong corpus hash,
+        CacheError: Bad magic, a cache version other than 2 (version 1
+            stored float32 rasters), wrong corpus hash,
             an image side, width or key count the featurizer never writes,
             or a bad body length.
     """

@@ -394,16 +394,16 @@ def _fold(hashes: np.ndarray, nbits: int, radius: int) -> Fingerprint:
     return Fingerprint(data=np.packbits(vector).tobytes(), nbits=nbits, radius=radius)
 
 
-def fold_to_bits(
-    envs: list[AtomEnvironment], nbits: int, radius: int | None = None
-) -> Fingerprint:
+def fold_to_bits(envs: list[AtomEnvironment], nbits: int, radius: int) -> Fingerprint:
     """Set bit ``hash mod nbits`` for every environment.
 
     Args:
         envs: Retained environments.
         nbits: Vector width; must be a power of two of at least 8.
-        radius: Recorded generation radius (defaults to the largest
-            radius present, or 0 for an empty list).
+        radius: The radius the environments were generated with, recorded
+            in the result.  It is not read off the environments: their
+            largest radius can be smaller when deduplication retains no
+            environment of the last rounds.
 
     Returns:
         The folded fingerprint.
@@ -412,8 +412,6 @@ def fold_to_bits(
         ConfigError: Width not a power of two of at least 8, or a negative
             radius.
     """
-    if radius is None:
-        radius = max((env.radius for env in envs), default=0)
     return _fold(np.array([env.hash for env in envs], dtype=np.uint64), nbits, radius)
 
 

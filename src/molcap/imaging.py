@@ -29,6 +29,12 @@ the nonzero pixel count is rotation invariant.  Molecules whose scaled
 extent exceeds the grid raise DoesNotFitError, which is the featurizer's
 size-exclusion mechanism.  Bond samples and atom pixels are computed
 and written as whole arrays.
+
+A raster holds uint8 codes into :data:`PALETTE`, the ascending float32
+list of every intensity a raster can take (81 of them), so
+``PALETTE[codes]`` is the float32 image.  Because the palette ascends, the
+larger code is the larger intensity, and the bond and atom maxima are
+taken on codes directly.
 """
 
 from __future__ import annotations
@@ -40,6 +46,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from .elements import Z_TO_SYMBOL
 from .errors import DoesNotFitError, LayoutFailureError
 from .smiles import BondOrder, MolecularGraph
 
@@ -55,6 +62,7 @@ __all__ = [
     "write_pgm",
     "PIXELS_PER_UNIT",
     "DEFAULT_SIDE",
+    "PALETTE",
 ]
 
 DEFAULT_SIDE = 60
@@ -102,10 +110,15 @@ class Layout2D:
 
 @dataclass
 class ChemImage:
-    """Square intensity grid in [0, 1]; background exactly 0."""
+    """Square grid of uint8 :data:`PALETTE` codes; code 0 is the background."""
 
-    pixels: np.ndarray
+    codes: np.ndarray
     side: int
+
+    @property
+    def pixels(self) -> np.ndarray:
+        """The float32 intensities in [0, 1], decoded anew on each access."""
+        return PALETTE[self.codes]
 
 
 # --------------------------------------------------------------------------
@@ -593,6 +606,26 @@ def _grid_cells(points: np.ndarray, side: int) -> tuple[np.ndarray, np.ndarray]:
     return side // 2 - y, side // 2 + x
 
 
+def _palette() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(palette, code per bond order, code per atomic number).
+
+    The intensities use the double-precision arithmetic and the float32
+    cast that the raster has always used: 0.2 x order, 0.3 for aromatic,
+    and min(1, Z / 80).  Index 0 of either table is code 0, the
+    background.
+    """
+    orders = range(max(BondOrder) + 1)
+    bond = np.array([0.3 if o == BondOrder.AROMATIC else 0.2 * o for o in orders], np.float32)
+    atom = np.array([min(1.0, z / 80.0) for z in range(max(Z_TO_SYMBOL) + 1)], np.float32)
+    # Not np.unique: it imports numpy.ma, 2 MB of start-up for every command.
+    palette = np.array(sorted(set(bond.tolist() + atom.tolist())), dtype=np.float32)
+    codes = [np.searchsorted(palette, values).astype(np.uint8) for values in (bond, atom)]
+    return palette, *codes
+
+
+PALETTE, _BOND_CODES, _ATOM_CODES = _palette()
+
+
 def rasterize(
     graph: MolecularGraph,
     layout: Layout2D,
@@ -610,7 +643,8 @@ def rasterize(
             when omitted.
 
     Returns:
-        ChemImage with intensities in [0, 1].
+        ChemImage of palette codes; the larger code wins where bonds or
+        atoms share a pixel, and an atom's code beats a bond's.
 
     Raises:
         DoesNotFitError: The molecule needs more pixels than the grid
@@ -618,7 +652,7 @@ def rasterize(
     """
     indices = np.flatnonzero(layout.placed)
     if not len(indices):
-        return ChemImage(pixels=np.zeros((side, side), dtype=np.float32), side=side)
+        return ChemImage(codes=np.zeros((side, side), dtype=np.uint8), side=side)
 
     coords = layout.positions[indices]
     center = (coords.min(axis=0) + coords.max(axis=0)) / 2.0
@@ -638,15 +672,14 @@ def rasterize(
     t = (np.arange(counts.sum()) - (ends - counts)[bond]) * (1.0 / (counts - 1))[bond]
     t[ends - 1] = 1.0
     points = (1.0 - t)[:, None] * scaled[bond_a[bond]] + t[:, None] * scaled[bond_b[bond]]
-    intensity = np.where(order == BondOrder.AROMATIC, 0.3, 0.2 * order)
-    bond_layer, atom_layer = np.zeros((2, side, side))
-    np.maximum.at(bond_layer, _grid_cells(points, side), intensity[bond])
+    bond_layer, atom_layer = np.zeros((2, side, side), dtype=np.uint8)
+    np.maximum.at(bond_layer, _grid_cells(points, side), _BOND_CODES[order][bond])
 
     elements = np.array([graph.atoms[i].element for i in indices])
-    np.maximum.at(atom_layer, _grid_cells(atoms, side), np.minimum(1.0, elements / 80.0))
+    np.maximum.at(atom_layer, _grid_cells(atoms, side), _ATOM_CODES[elements])
 
-    pixels = np.where(atom_layer > 0, atom_layer, bond_layer).astype(np.float32)
-    return ChemImage(pixels=pixels, side=side)
+    codes = np.where(atom_layer > 0, atom_layer, bond_layer)
+    return ChemImage(codes=codes, side=side)
 
 
 def render_molecule(graph: MolecularGraph, side: int = DEFAULT_SIDE) -> ChemImage:

@@ -8,6 +8,10 @@ picks the best epoch, whose parameters and scores the result keeps.
 Wall-clock seconds are recorded per epoch but carry no semantic weight;
 every numeric column of the history is a pure function of (seed, data,
 config) in 64-bit mode.
+
+The dataset keeps palette codes and packed fingerprints; each batch is
+decoded to float32 pixels and fingerprint bits just before the model
+sees it.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ import numpy as np
 
 from ..dataset import CachedDataset, augment_image, upsample_minority
 from ..errors import ConfigError, NonFiniteLossError
-from ..imaging import ChemImage
+from ..imaging import PALETTE, ChemImage
 from ..metrics import auc_roc
 from .layers import bce_with_logits
 from .model import Model
@@ -99,6 +103,22 @@ class TrainResult:
     train_pool: tuple[int, ...] = field(default=())
 
 
+def _batch_inputs(
+    data: CachedDataset, batch: list[int], rng: np.random.Generator | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(pixels, fingerprint bits, key bits) of a batch, decoded for the model.
+
+    With a generator, each image's codes are augmented first, in batch
+    order.  The pixels are ``PALETTE[codes]``, float32.
+    """
+    codes = data.images[batch]
+    if rng is not None:
+        codes = np.stack(
+            [augment_image(ChemImage(codes=c, side=data.side), rng).codes for c in codes]
+        )
+    return PALETTE[codes], np.unpackbits(data.fingerprints[batch], axis=1), data.keys[batch]
+
+
 def predict_scores(
     model: Model,
     data: CachedDataset,
@@ -114,11 +134,7 @@ def predict_scores(
     scores = []
     for start in range(0, len(indices), batch_size):
         batch = list(indices[start : start + batch_size])
-        scores.append(
-            model.predict(
-                data.images[batch], data.fingerprints[batch], data.keys[batch]
-            )
-        )
+        scores.append(model.predict(*_batch_inputs(data, batch)))
     return np.concatenate(scores) if scores else np.zeros(0)
 
 
@@ -128,9 +144,7 @@ def _mean_loss(
     total = 0.0
     for start in range(0, len(indices), batch_size):
         batch = list(indices[start : start + batch_size])
-        _, cache = model.forward(
-            data.images[batch], data.fingerprints[batch], data.keys[batch]
-        )
+        _, cache = model.forward(*_batch_inputs(data, batch))
         loss, _ = bce_with_logits(cache["logits"], data.labels[batch])
         total += loss * len(batch)
     return total / len(indices)
@@ -150,17 +164,8 @@ def _fit_epoch(
     total = 0.0
     for start in range(0, len(pool), batch_size):
         batch = [pool[i] for i in order[start : start + batch_size]]
-        images = data.images[batch]
-        if augment:
-            images = np.stack(
-                [
-                    augment_image(ChemImage(pixels=image, side=data.side), rng).pixels
-                    for image in images
-                ]
-            )
-        loss, _, grads = model.loss_and_gradients(
-            images, data.fingerprints[batch], data.keys[batch], data.labels[batch]
-        )
+        inputs = _batch_inputs(data, batch, rng if augment else None)
+        loss, _, grads = model.loss_and_gradients(*inputs, data.labels[batch])
         total += loss * len(batch)
         adam_step(state, grads)
     return total / len(pool)

@@ -22,6 +22,7 @@ from molcap import dataset
 from molcap.cli import main
 from molcap.dataset import FEATURIZER_VERSION, read_cache
 from molcap.errors import NonFiniteLossError
+from molcap.imaging import PALETTE
 
 from util import DRUG_LIKE
 
@@ -196,11 +197,24 @@ def test_featurize_cache_bytes_independent_of_hash_seed(tmp_path) -> None:
 
 # SHA-256 of the cache the fixture's featurize call writes; a change in the
 # record layout, packing or featurizer output changes it.
-PINNED_CACHE_SHA256 = "b4260d4c7b604e0a1f22537e84755a3908edea77825d760c0abf1892b823f7b8"
+PINNED_CACHE_SHA256 = "c37c1cb7c0fb3b9907f6d4ed0c1c27ee75a1e9a4cc373b2048df065fdf8a90c2"
+# SHA-256 of the same cache's decoded float32 images followed by its
+# unpacked fingerprint bits, recorded from the cache version 1 layout
+# (float32 records): the content the model sees, whatever the layout.
+PINNED_CONTENT_SHA256 = "1627702ae5489402313e7637bcbe7825c80d9f9bed0a9487674110c7b6344039"
 
 
 def test_featurize_cache_bytes_match_pinned_digest(cache_path) -> None:
     assert hashlib.sha256(cache_path.read_bytes()).hexdigest() == PINNED_CACHE_SHA256
+
+
+def test_featurize_cache_content_matches_pinned_digest(cache_path) -> None:
+    data = read_cache(cache_path)
+    images = PALETTE[data.images]
+    assert images.dtype == np.float32
+    bits = np.unpackbits(data.fingerprints, axis=1)
+    digest = hashlib.sha256(images.tobytes() + bits.tobytes()).hexdigest()
+    assert digest == PINNED_CONTENT_SHA256
 
 
 def test_featurize_rejects_tiny_fingerprint_width(tmp_path, capsys) -> None:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -34,7 +35,7 @@ from molcap.errors import (
     SingleClassError,
     TooFewExamplesError,
 )
-from molcap.imaging import ChemImage
+from molcap.imaging import PALETTE, ChemImage
 
 from util import random_smiles
 
@@ -487,16 +488,16 @@ def test_train_indices_complement() -> None:
 
 
 def _image_with_pixel(row: int, col: int, value: float = 0.5) -> ChemImage:
-    pixels = np.zeros((60, 60), dtype=np.float32)
-    pixels[row, col] = value
-    return ChemImage(pixels=pixels, side=60)
+    codes = np.zeros((60, 60), dtype=np.uint8)
+    codes[row, col] = np.searchsorted(PALETTE, np.float32(value))
+    return ChemImage(codes=codes, side=60)
 
 
 def test_augment_identity_draw() -> None:
     image = _image_with_pixel(10, 20)
     out = augment_image(image, FixedRng([0, 0, 0]))
     assert np.array_equal(out.pixels, image.pixels)
-    assert out.pixels is not image.pixels
+    assert out.codes is not image.codes
 
 
 def test_augment_translation_moves_content() -> None:
@@ -508,10 +509,10 @@ def test_augment_translation_moves_content() -> None:
 
 def test_augment_rotation_matches_rot90() -> None:
     rng = np.random.default_rng(5)
-    pixels = rng.random((60, 60)).astype(np.float32)
-    image = ChemImage(pixels=pixels, side=60)
+    codes = rng.integers(len(PALETTE), size=(60, 60), dtype=np.uint8)
+    image = ChemImage(codes=codes, side=60)
     out = augment_image(image, FixedRng([1, 0, 0]))
-    assert np.array_equal(out.pixels, np.rot90(pixels, 1))
+    assert np.array_equal(out.codes, np.rot90(codes, 1))
 
 
 def test_augment_never_gains_pixels() -> None:
@@ -591,9 +592,28 @@ def test_cache_roundtrip(tmp_path, small_examples) -> None:
     assert loaded.side == 60
     assert np.array_equal(loaded.labels, [0, 1, 1])
     for i, example in enumerate(examples):
-        assert np.array_equal(loaded.images[i], example.image.pixels)
-        assert np.array_equal(loaded.fingerprints[i], example.fingerprint.to_array())
+        assert np.array_equal(loaded.images[i], example.image.codes)
+        assert loaded.fingerprints[i].tobytes() == example.fingerprint.data
         assert np.array_equal(loaded.keys[i], example.keys.to_array())
+
+
+def test_cache_holds_codes_and_packed_fingerprints(tmp_path, small_examples) -> None:
+    _, examples = small_examples
+    examples = examples * 150
+    path = tmp_path / "data.bin"
+    write_cache(path, examples, "11" * 32)
+    assert path.stat().st_size == dataset._HEADER.size + len(examples) * 3878
+    tracemalloc.start()
+    try:
+        loaded = read_cache(path)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert loaded.images.dtype == np.uint8
+    assert loaded.fingerprints.shape == (len(examples), 256)
+    # Codes, packed fingerprints, key bits and labels: about 4.0 KB each;
+    # float32 pixels and unpacked fingerprint bits held 16.7 KB.
+    assert held / len(examples) <= 4500
 
 
 def test_cache_matches_in_memory_stacking(tmp_path, small_examples) -> None:
@@ -654,7 +674,7 @@ def test_cache_rejects_mixed_sizes_before_opening(tmp_path, small_examples) -> N
 @pytest.mark.parametrize(
     "at, patch",
     [
-        (4, b"\x02\x00"),  # cache version
+        (4, b"\x03\x00"),  # cache version
         (6, b"\x02\x00"),  # featurizer version
         (18, b"\x07\x08"),  # fingerprint width 2055, same body length
         (20, b"\xa1\x00"),  # 161 keys, same body length
@@ -674,6 +694,21 @@ def test_cache_rejects_bad_header_or_long_body(
         raw[at : at + len(patch)] = patch
     path.write_bytes(bytes(raw))
     with pytest.raises(CacheError):
+        read_cache(path)
+
+
+def test_cache_rejects_version_1(tmp_path, small_examples) -> None:
+    # A version 1 file: the same header, then records whose image field
+    # is float32 pixels.
+    _, examples = small_examples
+    path = tmp_path / "data.bin"
+    write_cache(path, examples, "11" * 32)
+    header = bytearray(path.read_bytes()[: dataset._HEADER.size])
+    header[4:6] = b"\x01\x00"
+    record = dataset._record_dtype(60, 2048).itemsize + 3 * 60 * 60
+    assert record == 14678
+    path.write_bytes(bytes(header) + bytes(len(examples) * record))
+    with pytest.raises(CacheError, match="unsupported cache version 1"):
         read_cache(path)
 
 

@@ -228,7 +228,7 @@ def test_distinct_molecules_distinct_fingerprints() -> None:
 
 
 def test_fold_empty_is_all_zero() -> None:
-    fp = fold_to_bits([], 2048)
+    fp = fold_to_bits([], 2048, radius=2)
     assert fp.popcount() == 0
     assert fp.nbits == 2048
     assert len(fp.data) == 256
@@ -236,15 +236,28 @@ def test_fold_empty_is_all_zero() -> None:
 
 def test_fold_single_environment() -> None:
     env = AtomEnvironment(0, 0, 12345, frozenset())
-    fp = fold_to_bits([env], 2048)
+    fp = fold_to_bits([env], 2048, radius=0)
     assert fp.popcount() == 1
     assert fp.get_bit(12345 % 2048)
+
+
+def test_fold_needs_the_generation_radius() -> None:
+    # Deduplication retains no radius-2 environment of ethanol, so its
+    # largest retained radius (1) is not the generation radius.
+    graph = parse_smiles("CCO")
+    envs = morgan_iterate(graph, 2)
+    assert max(env.radius for env in envs) == 1
+    with pytest.raises(TypeError):
+        fold_to_bits(envs, 2048)
+    folded = fold_to_bits(envs, 2048, radius=2)
+    assert folded.radius == 2
+    assert folded == morgan_fingerprint(graph, 2)
 
 
 def test_fold_rejects_non_power_of_two() -> None:
     for bad in (0, 1, 2, 4, -8, 100, 2047, 3000):
         with pytest.raises(ConfigError):
-            fold_to_bits([], bad)
+            fold_to_bits([], bad, radius=2)
 
 
 def test_hex_serialization_roundtrip() -> None:
@@ -258,7 +271,7 @@ def test_hex_serialization_roundtrip() -> None:
 
 def test_bit_packing_is_msb_first() -> None:
     env = AtomEnvironment(0, 0, 0, frozenset())
-    fp = fold_to_bits([env], 8)
+    fp = fold_to_bits([env], 8, radius=0)
     assert fp.data == b"\x80"
     assert fp.get_bit(0) and not fp.get_bit(7)
 

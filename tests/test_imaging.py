@@ -17,11 +17,14 @@ import numpy as np
 import pytest
 
 import molcap.imaging
+from molcap.dataset import augment_image
+from molcap.elements import Z_TO_SYMBOL
 from molcap.errors import DoesNotFitError, LayoutFailureError, MolcapError
 from molcap.imaging import (
     BOND_TOLERANCE,
     MAX_RELAX_ITERATIONS,
     MIN_SEPARATION,
+    PALETTE,
     PIXELS_PER_UNIT,
     ChemImage,
     Layout2D,
@@ -755,3 +758,62 @@ def test_chem_image_is_float32() -> None:
     image = render_molecule(parse_smiles("CCO"))
     assert isinstance(image, ChemImage)
     assert image.pixels.dtype == np.float32
+
+
+# --------------------------------------------------------------------------
+# Palette
+
+
+def _raster_values() -> list[np.float32]:
+    """Every float32 value the per-bond reference raster can write."""
+    values = [np.float32(0.0)]
+    for order in BondOrder:
+        values.append(np.float32(0.3 if order == BondOrder.AROMATIC else 0.2 * int(order)))
+    values += [np.float32(min(1.0, z / 80.0)) for z in sorted(Z_TO_SYMBOL)]
+    return values
+
+
+def test_palette_has_a_code_for_every_raster_value() -> None:
+    values = _raster_values()
+    assert len(values) == 1 + 4 + 118
+    codes = np.searchsorted(PALETTE, values)
+    assert PALETTE[codes].tobytes() == np.array(values, dtype=np.float32).tobytes()
+    assert len(PALETTE) == len(set(values)) == 81
+
+
+def test_palette_is_ascending_float32_with_fewer_than_256_entries() -> None:
+    assert PALETTE.dtype == np.float32
+    assert len(PALETTE) < 256
+    assert np.all(np.diff(PALETTE) > 0)
+
+
+def test_palette_code_zero_is_background() -> None:
+    assert PALETTE[0] == 0.0
+    assert render_molecule(parse_smiles("CCO")).codes.dtype == np.uint8
+
+
+def _reference_float_augment(pixels: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """The quarter turn and zero-padded shift, applied to float pixels."""
+    k = int(rng.integers(4))
+    dx = int(rng.integers(-5, 6))
+    dy = int(rng.integers(-5, 6))
+    rotated = np.rot90(pixels, k=k)
+    side = len(pixels)
+    out = np.zeros_like(rotated)
+    out[max(0, dy) : side - max(0, -dy), max(0, dx) : side - max(0, -dx)] = rotated[
+        max(0, -dy) : side - max(0, dy), max(0, -dx) : side - max(0, dx)
+    ]
+    return out
+
+
+def test_palette_codes_augment_like_float_pixels() -> None:
+    # Near the border, so shifts drop content and fill vacated pixels.
+    codes = np.zeros((60, 60), dtype=np.uint8)
+    codes[:8, :8] = np.arange(64).reshape(8, 8)
+    images = [ChemImage(codes=codes, side=60), render_molecule(parse_smiles("c1ccccc1CC#N"))]
+    for image in images:
+        coded_rng, float_rng = np.random.default_rng(17), np.random.default_rng(17)
+        for _ in range(40):
+            decoded = augment_image(image, coded_rng).pixels
+            expected = _reference_float_augment(image.pixels, float_rng)
+            assert decoded.tobytes() == expected.tobytes()

@@ -993,8 +993,10 @@ def test_plateau_pure_function_of_history() -> None:
 
 
 def synthetic_data(n=64, side=12, fp=24, keys=16, seed=0, separable=False):
+    """A dataset as read_cache returns it: palette codes (intensities up to
+    0.2) and packed fingerprints."""
     rng = np.random.default_rng(seed)
-    images = (rng.random((n, side, side)) * 0.2).astype(np.float32)
+    images = rng.integers(0, 17, size=(n, side, side), dtype=np.uint8)
     fingerprints = rng.integers(0, 2, size=(n, fp)).astype(np.uint8)
     key_bits = rng.integers(0, 2, size=(n, keys)).astype(np.uint8)
     if separable:
@@ -1003,13 +1005,13 @@ def synthetic_data(n=64, side=12, fp=24, keys=16, seed=0, separable=False):
         # Signal in every modality, like a visible substructure would be.
         fingerprints[:, 0] = labels
         key_bits[:, 0] = labels
-        images[labels == 1, 2:5, 2:5] += 0.5
+        images[labels == 1, 2:5, 2:5] += 40  # +0.5
     else:
         labels = (rng.random(n) < 0.3).astype(np.uint8)
         labels[0], labels[1] = 0, 1
     return CachedDataset(
         images=images,
-        fingerprints=fingerprints,
+        fingerprints=np.packbits(fingerprints, axis=1),
         keys=key_bits,
         labels=labels,
         corpus_hash="",
