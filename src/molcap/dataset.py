@@ -19,6 +19,7 @@ import csv
 import hashlib
 import math
 import multiprocessing
+import os
 import random
 import struct
 from collections import Counter
@@ -578,12 +579,16 @@ def _pack_records(examples: Sequence[CaptionedExample]) -> np.ndarray:
 
 
 def _unpack_records(records: np.ndarray, corpus_hash: str) -> CachedDataset:
-    """The dataset arrays of cache records; none is a view of them."""
+    """The dataset arrays of cache records.
+
+    Images, fingerprints and labels are views of the records, so the
+    records are never held twice; only the keys are unpacked.
+    """
     return CachedDataset(
-        images=records["image"].copy(),
-        fingerprints=records["fingerprint"].copy(),
+        images=records["image"],
+        fingerprints=records["fingerprint"],
         keys=np.unpackbits(records["keys"], axis=1, count=N_KEYS),
-        labels=records["label"].copy(),
+        labels=records["label"],
         corpus_hash=corpus_hash,
         featurizer_version=FEATURIZER_VERSION,
         side=records["image"].shape[1],
@@ -642,38 +647,42 @@ def read_cache(
             an image side, width or key count the featurizer never writes,
             or a bad body length.
     """
-    raw = Path(path).read_bytes()
-    if len(raw) < _HEADER.size:
-        raise CacheError(f"{path}: shorter than the header")
-    magic, cache_version, feat_version, count, side, nbits, n_keys, stored = (
-        _HEADER.unpack_from(raw)
-    )
-    if magic != _CACHE_MAGIC:
-        raise CacheError(f"{path}: bad magic {magic!r}")
-    if cache_version != _CACHE_VERSION:
-        raise CacheError(f"{path}: unsupported cache version {cache_version}")
-    if feat_version != FEATURIZER_VERSION:
-        raise CacheError(
-            f"{path}: featurizer version {feat_version} != {FEATURIZER_VERSION}"
+    with open(path, "rb") as handle:
+        head = handle.read(_HEADER.size)
+        if len(head) < _HEADER.size:
+            raise CacheError(f"{path}: shorter than the header")
+        magic, cache_version, feat_version, count, side, nbits, n_keys, stored = (
+            _HEADER.unpack(head)
         )
-    corpus_hash = stored.hex()
-    if expected_hash is not None and corpus_hash != expected_hash.lower():
-        raise CacheError(f"{path}: corpus hash mismatch")
-    try:
-        check_image_side(side)
-        _check_cache_width(nbits)
-    except ConfigError as exc:
-        raise CacheError(f"{path}: {exc}") from None
-    if n_keys != N_KEYS:
-        raise CacheError(f"{path}: {n_keys} keys per record, expected {N_KEYS}")
+        if magic != _CACHE_MAGIC:
+            raise CacheError(f"{path}: bad magic {magic!r}")
+        if cache_version != _CACHE_VERSION:
+            raise CacheError(f"{path}: unsupported cache version {cache_version}")
+        if feat_version != FEATURIZER_VERSION:
+            raise CacheError(
+                f"{path}: featurizer version {feat_version} != {FEATURIZER_VERSION}"
+            )
+        corpus_hash = stored.hex()
+        if expected_hash is not None and corpus_hash != expected_hash.lower():
+            raise CacheError(f"{path}: corpus hash mismatch")
+        try:
+            check_image_side(side)
+            _check_cache_width(nbits)
+        except ConfigError as exc:
+            raise CacheError(f"{path}: {exc}") from None
+        if n_keys != N_KEYS:
+            raise CacheError(f"{path}: {n_keys} keys per record, expected {N_KEYS}")
 
-    dtype = _record_dtype(side, nbits)
-    body = len(raw) - _HEADER.size
-    if body != count * dtype.itemsize:
-        raise CacheError(
-            f"{path}: expected {count * dtype.itemsize} record bytes, found {body}"
-        )
-    records = np.frombuffer(raw, dtype=dtype, count=count, offset=_HEADER.size)
+        dtype = _record_dtype(side, nbits)
+        body = os.fstat(handle.fileno()).st_size - _HEADER.size
+        if body != count * dtype.itemsize:
+            raise CacheError(
+                f"{path}: expected {count * dtype.itemsize} record bytes, found {body}"
+            )
+        # Read straight into the records that the dataset keeps.
+        records = np.empty(count, dtype=dtype)
+        if handle.readinto(records.view(np.uint8)) != body:
+            raise CacheError(f"{path}: file shrank while being read")
     return _unpack_records(records, corpus_hash)
 
 

@@ -91,16 +91,21 @@ class KeyDefinition:
 
 @dataclass(frozen=True)
 class KeyVector:
-    """167 binary answers, index 0 always zero."""
+    """167 binary answers, index 0 always zero.
 
-    bits: tuple[int, ...]
+    ``bits`` holds one byte, 0 or 1, per key; any sequence of such ints
+    is accepted and stored as bytes.
+    """
+
+    bits: bytes
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "bits", bytes(self.bits))
         if len(self.bits) != N_KEYS:
             raise KeyFileError(f"key vector needs {N_KEYS} bits, got {len(self.bits)}")
 
     def to_array(self) -> np.ndarray:
-        return np.asarray(self.bits, dtype=np.uint8)
+        return np.frombuffer(self.bits, dtype=np.uint8)
 
 
 def default_key_path() -> Path:
@@ -304,7 +309,7 @@ def evaluate_keys(
     _check_definitions(definitions)
     if answers is None:
         answers = key_answers([graph], definitions)[0]
-    bits = answers.tolist()
+    bits = bytearray(answers.astype(np.uint8, copy=False).tobytes())
     counted = [d for d in definitions if d.query is not None and d.threshold > 1]
     if counted:
         index = MoleculeIndex(graph)
@@ -313,4 +318,4 @@ def evaluate_keys(
                 graph, definition.query, max_count=definition.threshold, index=index
             ).count
             bits[definition.index] = 1 if count >= definition.threshold else 0
-    return KeyVector(bits=tuple(bits))
+    return KeyVector(bits=bytes(bits))

@@ -16,18 +16,21 @@ a single matmul with no padding.  Backward walks the same taps: dX adds
 each dY @ (F, C) product into the tap's view of a zeroed padded
 gradient, and each image's dW sums its tap-transposed-times-dY row
 products.  A convolution caches only its padded input (its input, for
-a 1x1), never a patch matrix: a default-model forward pass keeps about
-15 MB per example in float64.
+a 1x1), never a patch matrix: the default model's trunk caches about
+15 MB per image in float64, which :mod:`molcap.nn.model` holds for one
+batch slice at a time.
 
 The matmuls run on 4-D operands, which NumPy hands to BLAS one image row
-at a time.  For the model's layer sizes each such product is below
-OpenBLAS's threading threshold, so it runs on one BLAS thread and
-float64 results do not depend on the BLAS thread count.  Every kernel
-here is serial and works on whatever batch it is given; every output
-row depends on its own input row only, so a batch cut into slices gives
-the bytes of the whole batch.  A convolution's dW and db come out per
-image, so they too are the same for any slicing; the caller sums them
-over the batch (see :mod:`molcap.nn.model`, which splits the batch).
+at a time, and a dense layer multiplies one batch row at a time.  For
+the model's layer sizes each such product is below OpenBLAS's threading
+threshold, so it runs on one BLAS thread and float64 results do not
+depend on the BLAS thread count.  Every kernel here is serial and works
+on whatever batch it is given; every output row depends on its own
+input row only, so a batch cut into slices, or an example scored alone,
+gives the bytes of the whole batch.  A convolution's dW and db come out
+per image, so they too are the same for any slicing; the caller sums
+them over the batch (see :mod:`molcap.nn.model`, which splits the
+batch).
 
 Convolutions and pooling use TensorFlow-style "same" padding: the
 output side is ceil(input / stride) and any asymmetric padding puts the
@@ -59,6 +62,7 @@ __all__ = [
     "concat_backward",
     "sigmoid",
     "bce_with_logits",
+    "bce_gradient",
 ]
 
 
@@ -169,10 +173,15 @@ def conv2d_backward(
 def dense_forward(
     x: np.ndarray, w: np.ndarray, b: np.ndarray
 ) -> tuple[np.ndarray, tuple]:
-    """Affine map of a (N, D) batch by (D, M) weights plus (M,) bias."""
+    """Affine map of a (N, D) batch by (D, M) weights plus (M,) bias.
+
+    Each row is its own (1, D) @ (D, M) product.  One (N, D) product
+    lets BLAS block the batch, so a row's float64 result would depend
+    on the rows around it and on how the batch was cut.
+    """
     if x.shape[1] != w.shape[0]:
         raise ShapeMismatchError((x.shape[0], w.shape[0]), x.shape)
-    return x @ w + b, (x, w)
+    return np.matmul(x[:, None, :], w)[:, 0] + b, (x, w)
 
 
 def dense_backward(
@@ -279,5 +288,18 @@ def bce_with_logits(
         raise ShapeMismatchError(z.shape, y.shape)
     per_example = np.maximum(z, 0) - z * y + np.log1p(np.exp(-np.abs(z)))
     loss = float(per_example.mean())
-    dz = (sigmoid(z) - y) / z.size
+    dz = bce_gradient(z, y, z.size)
     return loss, dz.reshape(logits.shape).astype(logits.dtype, copy=False)
+
+
+def bce_gradient(logits: np.ndarray, labels: np.ndarray, count: int) -> np.ndarray:
+    """Gradient of the mean BCE of a ``count``-row batch with respect to
+    some of its logits: (sigmoid(z) - y) / count, elementwise, so any
+    rows of the batch get the bytes the whole batch would give them.
+
+    Args:
+        logits: Pre-sigmoid scores of the rows.
+        labels: Their targets, already in the logits' dtype and shape.
+        count: Rows in the whole batch.
+    """
+    return (sigmoid(logits) - labels) / count

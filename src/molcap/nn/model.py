@@ -16,22 +16,27 @@ concatenated and a final dense(1) produces the logit; predictions are
 its sigmoid.
 
 The batch is split here, once, and nowhere else: the layer kernels are
-serial.  The convolutional trunk, stem through global average pooling,
-runs on contiguous slices of the batch, which the calling thread and a
-process-wide thread pool, one thread per further usable CPU, take in
-ascending order (NumPy releases the GIL inside the matmuls and ufuncs).
-Four-image slices (see ``_SPLIT_MIN``) beat one-image ones: fewer GIL
-hand-offs between short NumPy calls.  Backward frees each unit's forward
-cache once it is used.  The caption branches and the head run on the
-whole batch in the calling thread, after the trunk in forward and before
-it in backward.  Every image's activations, and every image's own dW and
-db of each convolution, depend on that image alone, so they come out the
-same for any slicing.  No slice waits for another: once every slice is
-done, the calling thread sums each convolution's per-image dW and db
-over the batch, in image order, so float64 results are byte for byte the
-same for any slicing and any number of CPUs.  A batch whose stem output
-has fewer than 2**18 elements, such as the desk model's at batch 32,
-runs as one slice in the calling thread.
+serial.  The caption branches run first, on the whole batch in the
+calling thread.  Then the batch is cut into contiguous slices, which the
+calling thread and a process-wide thread pool, one thread per further
+usable CPU, take in ascending order (NumPy releases the GIL inside the
+matmuls and ufuncs).  Four-image slices (see ``_SPLIT_MIN``) beat
+one-image ones: fewer GIL hand-offs between short NumPy calls.  A slice
+runs the convolutional trunk, stem through global average pooling, and
+the head on its own rows.  In a training step, given the labels, it
+then back-propagates its rows' logit gradients through the trunk at
+once, freeing each unit's forward cache as it goes, and keeps only each
+image's dW and db of each convolution.  When scoring, it keeps no unit's
+cache past that unit.  So a step holds the activations of at most one
+slice per CPU, whatever the batch size.  Every image's activations, and
+every image's own dW and db, depend on that image alone, and every dense
+layer multiplies one row at a time, so they come out the same for any
+slicing.  No slice waits for another: ``backward`` runs the head and the
+caption branches on the whole batch, then sums each convolution's
+per-image dW and db over the batch, in image order, so float64 results
+are byte for byte the same for any slicing and any number of CPUs.  A
+batch whose stem output has fewer than 2**18 elements, such as the desk
+model's at batch 32, runs as one slice in the calling thread.
 """
 
 from __future__ import annotations
@@ -51,6 +56,7 @@ from ..fingerprints import DEFAULT_NBITS
 from ..imaging import DEFAULT_SIDE
 from ..maccs import N_KEYS
 from .layers import (
+    bce_gradient,
     bce_with_logits,
     concat_backward,
     concat_forward,
@@ -335,12 +341,18 @@ class Model:
             dx += maxpool_backward(parts[-1], cache["pool"])
         return dx
 
-    def _trunk_forward(self, x: np.ndarray) -> tuple[np.ndarray, tuple]:
-        """Stem through global average pooling: (features, cache)."""
+    def _trunk_forward(self, x: np.ndarray, keep: bool) -> tuple[np.ndarray, tuple]:
+        """Stem through global average pooling: (features, cache).
+
+        Without ``keep`` the cache holds no unit's cache: each is freed
+        once its unit has run.
+        """
         caches = []
         for unit in self._plan:
             x, unit_cache = self._unit_forward(unit, x)
-            caches.append(unit_cache)
+            if keep:
+                caches.append(unit_cache)
+            del unit_cache
         features, gap_cache = global_avg_pool_forward(x)
         return features, (caches, gap_cache)
 
@@ -358,8 +370,9 @@ class Model:
         images: np.ndarray,
         fingerprints: np.ndarray | None = None,
         keys: np.ndarray | None = None,
+        labels: np.ndarray | None = None,
     ) -> tuple[np.ndarray, dict]:
-        """Run the network, keeping every activation needed by backward.
+        """Run the network; given labels, also back-propagate the trunk.
 
         Args:
             images: (N, side, side) rasters.
@@ -367,13 +380,21 @@ class Model:
                 fingerprint branch is disabled.
             keys: (N, keys_width) bit array; ignored when the key branch
                 is disabled.
+            labels: Binary targets, one per row, for a training step.
+                Each trunk slice then back-propagates its rows' share of
+                the mean-BCE gradient as soon as its forward pass ends,
+                and the cache keeps each image's convolution gradients
+                instead of its activations.
 
         Returns:
-            (probabilities of shape (N, 1), cache for backward).
+            (probabilities of shape (N, 1), cache).  The cache always
+            holds the logits, (N, 1); only a labelled forward's cache can
+            go to :meth:`backward`.
 
         Raises:
-            ShapeMismatchError: The images have the wrong side, or an
-                enabled caption input is missing or not (N, width).
+            ShapeMismatchError: The images have the wrong side, an
+                enabled caption input is missing or not (N, width), or
+                labels are given but not N of them.
         """
         cfg = self.config
         x = np.asarray(images, dtype=self.dtype)
@@ -381,42 +402,48 @@ class Model:
             raise ShapeMismatchError(x.shape[:1] + (cfg.image_side,) * 2, x.shape)
         x = x[:, :, :, None]
         n = len(x)
+        if labels is not None:
+            y = np.asarray(labels, dtype=self.dtype).reshape(-1, 1)
+            if len(y) != n:
+                raise ShapeMismatchError((n,), np.shape(labels))
+        head_w, head_b = self.params["head.w"], self.params["head.b"]
+        # Head input rows: trunk features, then the enabled caption scalars.
+        width = self._trunk_width
+        fused = np.empty((n, len(head_w)), dtype=self.dtype)
+        cache: dict = {}
+        at = width
         if cfg.use_fingerprint:
             fp = self._caption(fingerprints, (n, cfg.fp_width))
-        if cfg.use_keys:
-            kv = self._caption(keys, (n, cfg.keys_width))
-        slices = _batch_slices(n, n * cfg.image_side**2 * cfg.filters)
-        features = np.empty((n, self._trunk_width), dtype=self.dtype)
-        trunk: list = [None] * len(slices)
-
-        def run(k: int) -> None:
-            lo, hi = slices[k]
-            features[lo:hi], trunk[k] = self._trunk_forward(x[lo:hi])
-
-        _run_slices(run, len(slices))
-        cache: dict = {"slices": slices, "trunk": trunk}
-
-        parts = [features]
-        if cfg.use_fingerprint:
-            fp_out, cache["fp"] = dense_forward(
+            fused[:, at : at + 1], cache["fp"] = dense_forward(
                 fp, self.params["fp.w"], self.params["fp.b"]
             )
-            parts.append(fp_out)
+            at += 1
         if cfg.use_keys:
-            hidden, k0 = dense_forward(
-                kv, self.params["keys0.w"], self.params["keys0.b"]
-            )
+            kv = self._caption(keys, (n, cfg.keys_width))
+            hidden, k0 = dense_forward(kv, self.params["keys0.w"], self.params["keys0.b"])
             activated, k_mask = relu_forward(hidden)
-            keys_out, k1 = dense_forward(
+            fused[:, at : at + 1], k1 = dense_forward(
                 activated, self.params["keys1.w"], self.params["keys1.b"]
             )
             cache["keys"] = (k0, k_mask, k1)
-            parts.append(keys_out)
-        fused, cache["head_widths"] = concat_forward(parts)
-        logits, cache["head"] = dense_forward(
-            fused, self.params["head.w"], self.params["head.b"]
-        )
-        cache["logits"] = logits
+
+        slices = _batch_slices(n, n * cfg.image_side**2 * cfg.filters)
+        logits = np.empty((n, 1), dtype=self.dtype)
+        per_image: list = [None] * len(slices)
+
+        def run(k: int) -> None:
+            lo, hi = slices[k]
+            features, trunk = self._trunk_forward(x[lo:hi], keep=labels is not None)
+            fused[lo:hi, :width] = features
+            logits[lo:hi], _ = dense_forward(fused[lo:hi], head_w, head_b)
+            if labels is not None:
+                dlogits = bce_gradient(logits[lo:hi], y[lo:hi], n)
+                per_image[k] = self._trunk_backward(dlogits @ head_w[:width].T, trunk)
+
+        _run_slices(run, len(slices))
+        if labels is None:
+            return sigmoid(logits), {"logits": logits}
+        cache.update(logits=logits, head=(fused, head_w), labels=y, per_image=per_image)
         return sigmoid(logits), cache
 
     def _caption(self, array: np.ndarray | None, shape: tuple[int, int]) -> np.ndarray:
@@ -440,22 +467,33 @@ class Model:
     def backward(self, cache: dict, labels: np.ndarray) -> tuple[float, dict]:
         """Mean-BCE loss and its gradient for every parameter.
 
-        The trunk slices back-propagate independently and return each
-        image's convolution gradients; the calling thread then sums
-        those over the batch, in image order.
+        The trunk slices already back-propagated in :meth:`forward`; this
+        runs the head and the caption branches on the whole batch and
+        sums each convolution's per-image gradients over the batch, in
+        image order.
 
         Args:
-            cache: Second return value of :func:`forward`.  Backward
-                consumes its trunk part, freeing each unit's activations
-                once used, so it runs once per forward.
-            labels: Binary targets, one per batch row.
+            cache: Second return value of :meth:`forward` called with
+                ``labels``.  Backward consumes its per-image gradients,
+                so it runs once per forward.
+            labels: The targets given to that forward.
 
         Returns:
             (loss, gradient map keyed like ``params``).
 
         Raises:
+            ValueError: The cache is not that of a labelled forward, was
+                already used, or the labels differ from the forward's.
             NonFiniteLossError: The loss came out NaN or infinite.
         """
+        if "per_image" not in cache:
+            raise ValueError(
+                "backward takes the cache of forward(..., labels=...), once; "
+                "this one has no trunk gradients"
+            )
+        y = np.asarray(labels, dtype=self.dtype).reshape(-1, 1)
+        if not np.array_equal(y, cache["labels"]):
+            raise ValueError("backward got other labels than the forward pass")
         cfg = self.config
         loss, dlogits = bce_with_logits(cache["logits"], labels)
         if not math.isfinite(loss):
@@ -464,31 +502,22 @@ class Model:
         dfused, dw, db = dense_backward(dlogits, cache["head"])
         grads["head.w"] = dw
         grads["head.b"] = db
-        parts = concat_backward(dfused, cache["head_widths"])
-        dfeatures = parts[0]
-        at = 1
+        at = self._trunk_width
         if cfg.use_fingerprint:
-            _, dw, db = dense_backward(parts[at], cache["fp"])
+            _, dw, db = dense_backward(dfused[:, at : at + 1], cache["fp"])
             grads["fp.w"] = dw
             grads["fp.b"] = db
             at += 1
         if cfg.use_keys:
             k0, k_mask, k1 = cache["keys"]
-            dhidden, dw, db = dense_backward(parts[at], k1)
+            dhidden, dw, db = dense_backward(dfused[:, at : at + 1], k1)
             grads["keys1.w"] = dw
             grads["keys1.b"] = db
             _, dw, db = dense_backward(relu_backward(dhidden, k_mask), k0)
             grads["keys0.w"] = dw
             grads["keys0.b"] = db
 
-        slices = cache["slices"]
-        per_image: list = [None] * len(slices)
-
-        def run(k: int) -> None:
-            lo, hi = slices[k]
-            per_image[k] = self._trunk_backward(dfeatures[lo:hi], cache["trunk"][k])
-
-        _run_slices(run, len(slices))
+        per_image = cache.pop("per_image")
         # Sums over the whole batch, one image after another.
         for name in list(per_image[0]):
             grads[name] = np.concatenate([g.pop(name) for g in per_image]).sum(axis=0)
@@ -502,7 +531,7 @@ class Model:
         labels: np.ndarray,
     ) -> tuple[float, np.ndarray, dict]:
         """Forward plus backward in one call: (loss, probs, grads)."""
-        probs, cache = self.forward(images, fingerprints, keys)
+        probs, cache = self.forward(images, fingerprints, keys, labels)
         loss, grads = self.backward(cache, labels)
         return loss, probs, grads
 

@@ -127,9 +127,10 @@ def predict_scores(
 ) -> np.ndarray:
     """Forward-only scores for the given examples, in index order.
 
-    A forward pass keeps its whole cache alive until it returns, about
-    15 MB per example for the default float64 model, so batch_size
-    bounds the memory scoring takes.
+    Scoring keeps no activations past the unit that made them, so its
+    memory follows the trunk slices in flight, at most one per CPU,
+    rather than batch_size.  Each example's score does not depend on
+    the batch it is scored in.
     """
     scores = []
     for start in range(0, len(indices), batch_size):

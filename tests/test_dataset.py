@@ -606,7 +606,7 @@ def test_cache_holds_codes_and_packed_fingerprints(tmp_path, small_examples) -> 
     tracemalloc.start()
     try:
         loaded = read_cache(path)
-        held, _ = tracemalloc.get_traced_memory()
+        held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert loaded.images.dtype == np.uint8
@@ -614,6 +614,9 @@ def test_cache_holds_codes_and_packed_fingerprints(tmp_path, small_examples) -> 
     # Codes, packed fingerprints, key bits and labels: about 4.0 KB each;
     # float32 pixels and unpacked fingerprint bits held 16.7 KB.
     assert held / len(examples) <= 4500
+    # The records are read once, into the arrays kept; reading the whole
+    # file and then copying each field out peaked at twice what it held.
+    assert peak <= 1.25 * held
 
 
 def test_cache_matches_in_memory_stacking(tmp_path, small_examples) -> None:

@@ -10,7 +10,9 @@ ways, key by key, in chunks and one molecule at a time.
 from __future__ import annotations
 
 import hashlib
+import pickle
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -520,6 +522,16 @@ def test_vector_array_shape(definitions) -> None:
     arr = evaluate_keys(parse_smiles("CCO"), definitions).to_array()
     assert arr.shape == (167,)
     assert arr.dtype == np.uint8
+
+
+def test_vector_bits_are_one_byte_each(definitions) -> None:
+    # Featurize keeps a vector per example and, with several workers,
+    # pickles each one back; a tuple of Python ints took 1,392 bytes.
+    vector = evaluate_keys(parse_smiles("c1ccccc1O"), definitions)
+    assert isinstance(vector.bits, bytes)
+    assert sys.getsizeof(vector.bits) <= 200
+    assert len(pickle.dumps(vector)) < 300
+    assert KeyVector(bits=tuple(vector.bits)) == vector
 
 
 def test_vector_length_enforced() -> None:

@@ -13,6 +13,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from concurrent.futures import Future
 from pathlib import Path
 
@@ -400,6 +401,23 @@ def test_residual_block_with_zero_weights_is_relu() -> None:
     assert np.array_equal(out, np.maximum(x, 0.0))
 
 
+@pytest.mark.parametrize(
+    "blocks, filters, side", [(1, 4, 22), (3, 16, 60)], ids=["desk", "default"]
+)
+def test_example_scored_alone_gets_its_batch_bytes(blocks, filters, side) -> None:
+    # No layer may let a row's float64 result depend on its neighbours,
+    # such as one BLAS product blocking the whole batch in a dense layer.
+    model = Model(ModelConfig(blocks_per_stage=blocks, filters=filters, image_side=side), seed=2)
+    rng = np.random.default_rng(24)
+    images = rng.random((32, side, side))
+    fps = rng.integers(0, 2, (32, model.config.fp_width))
+    keys = rng.integers(0, 2, (32, model.config.keys_width))
+    batch = model.predict(images, fps, keys)
+    for i in range(32):
+        alone = model.predict(images[i : i + 1], fps[i : i + 1], keys[i : i + 1])
+        assert alone.tobytes() == batch[i : i + 1].tobytes(), i
+
+
 def test_no_cross_batch_coupling() -> None:
     model = Model(ModelConfig(**SMALL), seed=4)
     rng = np.random.default_rng(3)
@@ -518,7 +536,7 @@ def test_head_bias_gradient_closed_form() -> None:
     rng = np.random.default_rng(9)
     images, fps, keys = small_inputs(rng, n=6)
     labels = np.array([1, 0, 1, 1, 0, 0])
-    _, cache = model.forward(images, fps, keys)
+    _, cache = model.forward(images, fps, keys, labels)
     _, grads = model.backward(cache, labels)
     assert grads["head.b"][0] == pytest.approx(np.mean(0.5 - labels), rel=1e-12)
 
@@ -531,7 +549,7 @@ def test_saturated_correct_predictions_have_tiny_gradients() -> None:
     rng = np.random.default_rng(10)
     images, fps, keys = small_inputs(rng, n=4)
     labels = np.ones(4, dtype=int)
-    _, cache = model.forward(images, fps, keys)
+    _, cache = model.forward(images, fps, keys, labels)
     _, grads = model.backward(cache, labels)
     norm = math.sqrt(sum(float((g**2).sum()) for g in grads.values()))
     assert norm < 1e-6
@@ -750,19 +768,73 @@ def _arrays_reachable(obj) -> list[np.ndarray]:
     return []
 
 
-def test_backward_frees_trunk_activations() -> None:
-    # Two slices; backward leaves no trunk activation in the cache.
-    model = Model(ModelConfig(blocks_per_stage=1, filters=16, image_side=60), seed=4)
+def _split_model_step(model: Model, batch: int) -> tuple:
+    """Inputs and labels of one step of a 60 px model."""
     rng = np.random.default_rng(5)
-    _, cache = model.forward(
-        rng.random((5, 60, 60)),
-        rng.integers(0, 2, (5, model.config.fp_width)),
-        rng.integers(0, 2, (5, model.config.keys_width)),
+    return (
+        rng.random((batch, 60, 60)),
+        rng.integers(0, 2, (batch, model.config.fp_width)),
+        rng.integers(0, 2, (batch, model.config.keys_width)),
+        np.arange(batch) % 2,
     )
-    assert len(cache["trunk"]) == 2
-    assert _arrays_reachable(cache["trunk"])
-    model.backward(cache, np.arange(5) % 2)
-    assert _arrays_reachable(cache["trunk"]) == []
+
+
+def test_forward_frees_trunk_activations() -> None:
+    # Two slices.  Activations, masks, padded inputs and pooling argmaxes
+    # are all (N, H, W, C); a labelled forward leaves none in its cache,
+    # only each image's convolution gradients, which backward consumes.
+    model = Model(ModelConfig(blocks_per_stage=1, filters=16, image_side=60), seed=4)
+    *inputs, labels = _split_model_step(model, 5)
+    _, cache = model.forward(*inputs, labels)
+    assert len(cache["per_image"]) == 2
+    assert all(a.ndim != 4 for a in _arrays_reachable(cache))
+    assert any(a.shape == (4, 16, 1, 3, 3) for a in _arrays_reachable(cache["per_image"]))
+    model.backward(cache, labels)
+    assert "per_image" not in cache
+    with pytest.raises(ValueError, match="labels="):
+        model.backward(cache, labels)
+
+
+def test_scoring_keeps_no_trunk_array() -> None:
+    model = Model(ModelConfig(blocks_per_stage=1, filters=16, image_side=60), seed=4)
+    *inputs, labels = _split_model_step(model, 5)
+    probs, cache = model.forward(*inputs)
+    assert list(cache) == ["logits"]
+    assert cache["logits"].shape == (5, 1)
+    assert np.array_equal(probs, sigmoid(cache["logits"]))
+    with pytest.raises(ValueError, match="labels="):
+        model.backward(cache, labels)
+
+
+def test_backward_refuses_other_labels() -> None:
+    model = Model(ModelConfig(**SMALL), seed=4)
+    images, fps, keys = small_inputs(np.random.default_rng(6), n=3)
+    _, cache = model.forward(images, fps, keys, np.array([1, 0, 1]))
+    with pytest.raises(ValueError, match="other labels"):
+        model.backward(cache, np.array([0, 0, 1]))
+    with pytest.raises(ShapeMismatchError):
+        model.forward(images, fps, keys, np.array([1, 0]))
+
+
+def test_step_memory_follows_slices_in_flight(monkeypatch) -> None:
+    # Four-image slices on two workers: at batch 8 both slices are in
+    # flight at once, and at batch 32 still only two of eight, so a step
+    # holds about the same activations (each image's gradients aside).
+    # Keeping the whole batch's activations until backward reads 3.5x.
+    monkeypatch.setattr(model_module, "_workers", lambda: 2)
+    model = Model(ModelConfig(blocks_per_stage=1, filters=16, image_side=60), seed=4)
+
+    def peak(batch: int) -> int:
+        inputs = _split_model_step(model, batch)
+        tracemalloc.start()
+        try:
+            model.loss_and_gradients(*inputs)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert model_module._batch_slices(32, 32 * 60 * 60 * 16)[-1] == (28, 32)
+    assert peak(32) <= 1.5 * peak(8)
 
 
 class CountingPool:
@@ -785,13 +857,15 @@ def _step_submits(monkeypatch, model: Model, batch: int) -> tuple[int, int]:
     monkeypatch.setattr(model_module, "_executor", lambda: pool)
     side = model.config.image_side
     rng = np.random.default_rng(22)
+    labels = np.arange(batch) % 2
     _, cache = model.forward(
         rng.random((batch, side, side)),
         rng.integers(0, 2, (batch, model.config.fp_width)),
         rng.integers(0, 2, (batch, model.config.keys_width)),
+        labels,
     )
     forward = pool.submitted
-    model.backward(cache, np.arange(batch) % 2)
+    model.backward(cache, labels)
     return forward, pool.submitted - forward
 
 
@@ -801,10 +875,11 @@ def test_model_split_threshold(monkeypatch) -> None:
     desk = Model(ModelConfig(blocks_per_stage=1, filters=4, image_side=22), seed=3)
     assert _step_submits(monkeypatch, desk, 32) == (0, 0)
     # A 60 px, 16-filter model reaches it at batch 5 (288,000 elements;
-    # batch 4 has 230,400) and then splits both ways.
+    # batch 4 has 230,400) and then splits; each slice back-propagates
+    # inside forward, so backward hands nothing to the pool.
     model = Model(ModelConfig(blocks_per_stage=1, filters=16, image_side=60), seed=3)
     assert _step_submits(monkeypatch, model, 4) == (0, 0)
-    assert _step_submits(monkeypatch, model, 5) == (1, 1)
+    assert _step_submits(monkeypatch, model, 5) == (1, 0)
     # A batch of one row is never handed off, whatever its size.
     monkeypatch.setattr(model_module, "_SPLIT_MIN", 1)
     assert _step_submits(monkeypatch, model, 1) == (0, 0)
