@@ -18,7 +18,6 @@ from __future__ import annotations
 import csv
 import hashlib
 import math
-import multiprocessing
 import os
 import random
 import struct
@@ -401,6 +400,10 @@ def featurize_dataset(
     size = min(_CHUNK, math.ceil(len(molecules) / workers)) if molecules else 1
     chunks = [molecules[i : i + size] for i in range(0, len(molecules), size)]
     if workers > 1:
+        # Imported on first use: it loads socket, selectors, signal and
+        # more, which no other path of any command needs at start-up.
+        import multiprocessing
+
         with multiprocessing.Pool(
             workers,
             initializer=_init_worker,

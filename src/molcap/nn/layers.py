@@ -75,17 +75,28 @@ def same_pad(size: int, kernel: int, stride: int) -> tuple[int, int, int]:
 
 
 def _pad(x: np.ndarray, kh: int, kw: int, stride: int, value: float = 0.0):
-    """Same-pad the spatial axes of a NHWC batch.
+    """Same-pad the spatial axes of a NHWC batch with ``value``.
 
     Returns (padded batch, (Ho, Wo), (pad top, pad left)); the batch
-    itself comes back when no padding is needed.
+    itself comes back when no padding is needed.  The padded batch is a
+    new C-contiguous array with np.pad's bytes, filled border by border
+    and then copied into, in a handful of NumPy calls: np.pad makes
+    about twenty Python-level calls, all holding the GIL, and a trunk
+    slice pads about twenty times.
     """
-    _, h, w, _ = x.shape
+    n, h, w, c = x.shape
     oh, pbh, peh = same_pad(h, kh, stride)
     ow, pbw, pew = same_pad(w, kw, stride)
-    if pbh or peh or pbw or pew:
-        x = np.pad(x, ((0, 0), (pbh, peh), (pbw, pew), (0, 0)), constant_values=value)
-    return x, (oh, ow), (pbh, pbw)
+    if not (pbh or peh or pbw or pew):
+        return x, (oh, ow), (pbh, pbw)
+    padded = np.empty((n, pbh + h + peh, pbw + w + pew, c), dtype=x.dtype)
+    padded[:, :pbh] = value
+    padded[:, pbh + h :] = value
+    rows = padded[:, pbh : pbh + h]
+    rows[:, :, :pbw] = value
+    rows[:, :, pbw + w :] = value
+    rows[:, :, pbw : pbw + w] = x
+    return padded, (oh, ow), (pbh, pbw)
 
 
 def _tap(padded: np.ndarray, i: int, j: int, stride: int, oh: int, ow: int):
@@ -122,11 +133,17 @@ def conv2d_forward(
         raise ShapeMismatchError((n, h, width, wc), x.shape)
     padded, (oh, ow), pad = _pad(x, kh, kw, stride)
     taps = np.ascontiguousarray(w.transpose(2, 3, 1, 0))  # (kh, kw, C, F)
+    # With one input channel every tap product has K = 1, one rounded
+    # multiply per element: a broadcast np.multiply gives its values in
+    # one call instead of a BLAS call per image row.  Only the sign of a
+    # zero product can differ, and the sum over the taps plus a bias
+    # that is not -0.0 keeps no such sign.
+    mul = np.multiply if c == 1 else np.matmul
     first, *rest = product(range(kh), range(kw))
-    y = np.matmul(_tap(padded, *first, stride, oh, ow), taps[first])
+    y = mul(_tap(padded, *first, stride, oh, ow), taps[first])
     part = np.empty_like(y)
     for i, j in rest:
-        y += np.matmul(_tap(padded, i, j, stride, oh, ow), taps[i, j], out=part)
+        y += mul(_tap(padded, i, j, stride, oh, ow), taps[i, j], out=part)
     y += b
     # perfbench/tracer.py reads x.shape, w and stride from these positions.
     cache = (padded, x.shape, padded.shape, w, stride, (oh, ow), pad)
@@ -212,7 +229,9 @@ def maxpool_forward(
     out = _tap(padded, 0, 0, stride, oh, ow).copy()
     # Window position of each maximum, as a row-major tap index.
     arg = np.zeros(out.shape, dtype=np.min_scalar_type(size * size - 1))
-    for t, (i, j) in enumerate(product(range(size), range(size))):
+    windows = enumerate(product(range(size), range(size)))
+    next(windows)  # tap 0 is ``out`` itself
+    for t, (i, j) in windows:
         cells = _tap(padded, i, j, stride, oh, ow)
         np.putmask(arg, cells > out, t)
         np.maximum(out, cells, out=out)

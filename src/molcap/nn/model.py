@@ -20,13 +20,14 @@ serial.  The caption branches run first, on the whole batch in the
 calling thread.  Then the batch is cut into contiguous slices, which the
 calling thread and a process-wide thread pool, one thread per further
 usable CPU, take in ascending order (NumPy releases the GIL inside the
-matmuls and ufuncs).  Four-image slices (see ``_SPLIT_MIN``) beat
-one-image ones: fewer GIL hand-offs between short NumPy calls.  A slice
-runs the convolutional trunk, stem through global average pooling, and
-the head on its own rows.  In a training step, given the labels, it
-then back-propagates its rows' logit gradients through the trunk at
-once, freeing each unit's forward cache as it goes, and keeps only each
-image's dW and db of each convolution.  When scoring, it keeps no unit's
+matmuls and ufuncs).  Slices are two default-model images (see
+``_SPLIT_MIN``): larger slices hold more activations per CPU, and
+one-image slices make twice the GIL hand-offs between short NumPy
+calls.  A slice runs the convolutional trunk, stem through global
+average pooling, and the head on its own rows.  In a training step,
+given the labels, it then back-propagates its rows' logit gradients
+through the trunk at once, freeing each unit's forward cache as it
+goes, and keeps only each image's dW and db of each convolution.  When scoring, it keeps no unit's
 cache past that unit.  So a step holds the activations of at most one
 slice per CPU, whatever the batch size.  Every image's activations, and
 every image's own dW and db, depend on that image alone, and every dense
@@ -35,7 +36,7 @@ slicing.  No slice waits for another: ``backward`` runs the head and the
 caption branches on the whole batch, then sums each convolution's
 per-image dW and db over the batch, in image order, so float64 results
 are byte for byte the same for any slicing and any number of CPUs.  A
-batch whose stem output has fewer than 2**18 elements, such as the desk
+batch whose stem output has fewer than 2**17 elements, such as the desk
 model's at batch 32, runs as one slice in the calling thread.
 """
 
@@ -83,10 +84,14 @@ CHECKPOINT_VERSION = 1
 # Below this many elements in the stem's output a batch runs as one
 # slice in the calling thread: handing slices to the pool would cost
 # more than the split saves.  A split batch is cut into slices of about
-# this size (one default-model image is 57,600), several per worker,
-# which the workers take in turn: a CPU that the host stalls holds up
-# one slice instead of half the batch.
-_SPLIT_MIN = 1 << 18
+# this size, several per worker, which the workers take in turn: a CPU
+# that the host stalls holds up one slice instead of half the batch.
+# One default-model image is 57,600, so its slices are two images.  A
+# step holds one slice's activations per CPU, so larger slices cost
+# memory; one-image slices cost time, twice the short NumPy calls and
+# GIL hand-offs (benchmark train-default round about 7% slower on two
+# CPUs).
+_SPLIT_MIN = 1 << 17
 
 # (pid, executor); recreated in a forked child, whose copy has no threads.
 _pool: tuple[int, ThreadPoolExecutor] | None = None

@@ -649,3 +649,19 @@ def test_module_execution_smoke(tmp_path) -> None:
     )
     assert proc.returncode == 0
     assert out.exists()
+
+
+def test_cli_import_loads_no_pool_module() -> None:
+    # Process and thread pools load on first use, so a command that
+    # never starts one does not pay their imports at start-up.
+    source_root = str(Path(cli.__file__).resolve().parents[1])
+    python_path = os.pathsep.join(filter(None, [source_root, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, molcap.cli; "
+         "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": python_path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

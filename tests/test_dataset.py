@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import multiprocessing
 import random
 import tracemalloc
 from collections import Counter
@@ -330,7 +331,7 @@ def test_featurize_pool_never_larger_than_corpus(monkeypatch) -> None:
             return [fn(item) for item in items]
 
     monkeypatch.setattr(dataset, "_WORKER_STATE", {})
-    monkeypatch.setattr(dataset.multiprocessing, "Pool", RecordingPool)
+    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
     molecules = [LabeledMolecule("CCO", 1), LabeledMolecule("CC", 0)]
     examples, _ = featurize_dataset(molecules, side=20, workers=8)
     assert requested == [2]

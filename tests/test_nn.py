@@ -225,6 +225,74 @@ def test_conv2d_channel_mismatch() -> None:
         )
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("value", [0.0, -np.inf])
+@pytest.mark.parametrize(
+    "x_shape, kernel, stride",
+    [
+        ((2, 7, 7, 3), (3, 3), 1),  # one row and column on every side
+        ((2, 8, 8, 16), (3, 3), 2),  # even side: pad splits 0/1
+        ((2, 5, 9, 1), (1, 7), 1),
+        ((2, 6, 5, 4), (1, 3), 1),
+    ],
+)
+def test_pad_matches_np_pad(x_shape, kernel, stride, value, dtype) -> None:
+    x = np.random.default_rng(32).normal(size=x_shape).astype(dtype)
+    padded, (oh, ow), (top, left) = layers._pad(x, *kernel, stride, value)
+    oh_, top_, bottom = layers.same_pad(x_shape[1], kernel[0], stride)
+    ow_, left_, right = layers.same_pad(x_shape[2], kernel[1], stride)
+    expected = np.pad(
+        x, ((0, 0), (top_, bottom), (left_, right), (0, 0)), constant_values=value
+    )
+    assert (oh, ow, top, left) == (oh_, ow_, top_, left_)
+    assert padded.dtype == dtype and padded.flags.c_contiguous
+    assert padded.shape == expected.shape
+    assert padded.tobytes() == expected.tobytes()
+
+
+def test_pad_returns_input_when_none_needed() -> None:
+    x = np.zeros((2, 8, 8, 3))
+    assert layers._pad(x, 1, 1, 1)[0] is x
+    assert layers._pad(x, 2, 2, 2, -np.inf)[0] is x
+
+
+def tap_matmul_conv(x, w, b, stride) -> np.ndarray:
+    """Reference forward: each tap's strided view of the padded input
+    times W_tap through np.matmul, taps in row-major order, plus bias."""
+    n, h, width, c = x.shape
+    f, _, kh, kw = w.shape
+    oh, top, bottom = layers.same_pad(h, kh, stride)
+    ow, left, right = layers.same_pad(width, kw, stride)
+    padded = np.pad(x, ((0, 0), (top, bottom), (left, right), (0, 0)))
+    y = None
+    for i in range(kh):
+        for j in range(kw):
+            view = padded[
+                :, i : i + stride * (oh - 1) + 1 : stride, j : j + stride * (ow - 1) + 1 : stride
+            ]
+            tap = np.matmul(view, np.ascontiguousarray(w[:, :, i, j].T))
+            y = tap if y is None else y + tap
+    return y + b
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize(
+    "side, kernel, stride", [(60, (3, 3), 1), (22, (3, 3), 2), (22, (1, 7), 1)]
+)
+def test_one_channel_conv_matches_tap_matmuls(side, kernel, stride, dtype) -> None:
+    # Rasters in [0, 1] with blank regions, half the biases zero: zero
+    # products meet negative weights, as in the stem.
+    rng = np.random.default_rng(33)
+    x = rng.random((3, side, side, 1)).astype(dtype)
+    x[:, : side // 3] = 0.0
+    w = rng.normal(size=(16, 1, *kernel)).astype(dtype)
+    b = np.where(np.arange(16) % 2 == 0, 0.0, rng.normal(size=16)).astype(dtype)
+    y, _ = layers.conv2d_forward(x, w, b, stride)
+    expected = tap_matmul_conv(x, w, b, stride)
+    assert y.dtype == expected.dtype == dtype
+    assert y.tobytes() == expected.tobytes()
+
+
 def test_dense_gradients() -> None:
     rng = np.random.default_rng(4)
     x = rng.normal(size=(5, 7))
@@ -748,13 +816,13 @@ def test_float32_model_split_independent_of_slices_and_workers(monkeypatch) -> N
         sys.setswitchinterval(interval)
 
 
-def test_default_batch_runs_in_four_image_slices() -> None:
+def test_default_batch_runs_in_two_image_slices() -> None:
     # Batch 32 of the default model (57,600 stem-output elements per
-    # image): eight contiguous slices of about 2**18 elements each.
+    # image): sixteen contiguous slices of about 2**17 elements each.
     assert model_module._batch_slices(32, 32 * 60 * 60 * 16) == [
-        (lo, lo + 4) for lo in range(0, 32, 4)
+        (lo, lo + 2) for lo in range(0, 32, 2)
     ]
-    assert model_module._batch_slices(5, 5 * 60 * 60 * 16) == [(0, 4), (4, 5)]
+    assert model_module._batch_slices(5, 5 * 60 * 60 * 16) == [(0, 2), (2, 4), (4, 5)]
 
 
 def _arrays_reachable(obj) -> list[np.ndarray]:
@@ -780,15 +848,15 @@ def _split_model_step(model: Model, batch: int) -> tuple:
 
 
 def test_forward_frees_trunk_activations() -> None:
-    # Two slices.  Activations, masks, padded inputs and pooling argmaxes
+    # Three slices.  Activations, masks, padded inputs and pooling argmaxes
     # are all (N, H, W, C); a labelled forward leaves none in its cache,
     # only each image's convolution gradients, which backward consumes.
     model = Model(ModelConfig(blocks_per_stage=1, filters=16, image_side=60), seed=4)
     *inputs, labels = _split_model_step(model, 5)
     _, cache = model.forward(*inputs, labels)
-    assert len(cache["per_image"]) == 2
+    assert len(cache["per_image"]) == 3
     assert all(a.ndim != 4 for a in _arrays_reachable(cache))
-    assert any(a.shape == (4, 16, 1, 3, 3) for a in _arrays_reachable(cache["per_image"]))
+    assert any(a.shape == (2, 16, 1, 3, 3) for a in _arrays_reachable(cache["per_image"]))
     model.backward(cache, labels)
     assert "per_image" not in cache
     with pytest.raises(ValueError, match="labels="):
@@ -817,9 +885,9 @@ def test_backward_refuses_other_labels() -> None:
 
 
 def test_step_memory_follows_slices_in_flight(monkeypatch) -> None:
-    # Four-image slices on two workers: at batch 8 both slices are in
-    # flight at once, and at batch 32 still only two of eight, so a step
-    # holds about the same activations (each image's gradients aside).
+    # Two-image slices on two workers: at batch 8 two of four slices are
+    # in flight at once, and at batch 32 still only two of sixteen, so a
+    # step holds about the same activations (each image's gradients aside).
     # Keeping the whole batch's activations until backward reads 3.5x.
     monkeypatch.setattr(model_module, "_workers", lambda: 2)
     model = Model(ModelConfig(blocks_per_stage=1, filters=16, image_side=60), seed=4)
@@ -833,8 +901,25 @@ def test_step_memory_follows_slices_in_flight(monkeypatch) -> None:
         finally:
             tracemalloc.stop()
 
-    assert model_module._batch_slices(32, 32 * 60 * 60 * 16)[-1] == (28, 32)
+    assert model_module._batch_slices(32, 32 * 60 * 60 * 16)[-1] == (30, 32)
     assert peak(32) <= 1.5 * peak(8)
+
+
+def test_default_step_memory_on_two_cpus(monkeypatch) -> None:
+    # A float64 default-model step at batch 32 holds two two-image
+    # slices' activations at a time, plus every image's convolution
+    # gradients (about 16 MB): about 75 MB, where four-image slices
+    # peak at about 130 MB.
+    monkeypatch.setattr(model_module, "_workers", lambda: 2)
+    model = Model(ModelConfig(), seed=4)
+    inputs = _split_model_step(model, 32)
+    tracemalloc.start()
+    try:
+        model.loss_and_gradients(*inputs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 100e6
 
 
 class CountingPool:
@@ -874,12 +959,12 @@ def test_model_split_threshold(monkeypatch) -> None:
     # below the threshold: one slice in the calling thread.
     desk = Model(ModelConfig(blocks_per_stage=1, filters=4, image_side=22), seed=3)
     assert _step_submits(monkeypatch, desk, 32) == (0, 0)
-    # A 60 px, 16-filter model reaches it at batch 5 (288,000 elements;
-    # batch 4 has 230,400) and then splits; each slice back-propagates
+    # A 60 px, 16-filter model reaches it at batch 3 (172,800 elements;
+    # batch 2 has 115,200) and then splits; each slice back-propagates
     # inside forward, so backward hands nothing to the pool.
     model = Model(ModelConfig(blocks_per_stage=1, filters=16, image_side=60), seed=3)
-    assert _step_submits(monkeypatch, model, 4) == (0, 0)
-    assert _step_submits(monkeypatch, model, 5) == (1, 0)
+    assert _step_submits(monkeypatch, model, 2) == (0, 0)
+    assert _step_submits(monkeypatch, model, 3) == (1, 0)
     # A batch of one row is never handed off, whatever its size.
     monkeypatch.setattr(model_module, "_SPLIT_MIN", 1)
     assert _step_submits(monkeypatch, model, 1) == (0, 0)
