@@ -66,6 +66,7 @@ from .maccs import (
     load_key_definitions,
 )
 from .smiles import MolecularGraph, parse_smiles
+from .substructure import ChunkIndex
 
 __all__ = [
     "LabeledMolecule",
@@ -252,8 +253,9 @@ def _featurize_chunk(
 
     Every parsed molecule is placed, and one batched pass checks and
     relaxes all placements and returns each one's placed-bond table.
-    The molecules the relax left placed then go, all at once, through
-    one :func:`morgan_hashes` pass and one :func:`key_answers` pass.  Each
+    One :class:`ChunkIndex` of the molecules the relax left placed then
+    goes through one :func:`morgan_hashes` pass and one
+    :func:`key_answers` pass, so both read the same table.  Each
     molecule goes through :func:`layout_2d` (which raises for a placement
     the relax left NaN), raster with the relax's bond table, the fold of
     its hashes into a fingerprint, and :func:`evaluate_keys`, which adds
@@ -270,9 +272,9 @@ def _featurize_chunk(
     placements = [place_atoms(graph) for graph in graphs]
     bonds = relax_layouts(graphs, placements)
     placed = [k for k, positions in enumerate(placements) if not np.isnan(positions[:, 0]).all()]
-    placed_graphs = [graphs[k] for k in placed]
-    hashes = dict(zip(placed, morgan_hashes(placed_graphs, radius)))
-    answers = dict(zip(placed, key_answers(placed_graphs, definitions)))
+    chunk = ChunkIndex([graphs[k] for k in placed])
+    hashes = dict(zip(placed, morgan_hashes(chunk, radius)))
+    answers = dict(zip(placed, key_answers(chunk, definitions)))
     for k, (index, graph) in enumerate(parsed):
         results[index] = _featurize_one(
             molecules[index],
@@ -359,16 +361,18 @@ def featurize_dataset(
     each pool task is one chunk of at most ceil(n / workers) molecules.
     A chunk parses and places every molecule, checks and relaxes all
     placements in one batched pass (size buckets of padded coordinates,
-    each molecule with its own exits), then hashes the Morgan
-    environments (:func:`morgan_hashes`) and answers the structural keys
+    each molecule with its own exits), then builds one atom and bond
+    table (:class:`ChunkIndex`) of every molecule the relax left placed.
+    From that one table it hashes the Morgan environments
+    (:func:`morgan_hashes`) and answers the structural keys
     (:func:`key_answers`: one join per threshold-1 pattern key, counts
-    for the element and ring keys) of every molecule the relax left
-    placed, each in one batched pass.  It then wraps each result with
-    :func:`layout_2d`, which raises for a placement the relax could not
-    repair, draws it with the bond table the relax built, folds its
-    hashes into a fingerprint and keys it (:func:`evaluate_keys` adds the
-    few counted keys, pattern keys of a threshold above 1).  Every output
-    byte is the same for any chunking and worker count.
+    for the element and ring keys), each in one batched pass.  It then
+    wraps each result with :func:`layout_2d`, which raises for a
+    placement the relax could not repair, draws it with the bond table
+    the relax built, folds its hashes into a fingerprint and keys it
+    (:func:`evaluate_keys` adds the few counted keys, pattern keys of a
+    threshold above 1).  Every output byte is the same for any chunking
+    and worker count.
 
     Args:
         molecules: Loaded corpus, order preserved in the output.

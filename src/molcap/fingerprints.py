@@ -27,29 +27,32 @@ same fragment count once, and ordering candidates by hash keeps the
 choice of survivor independent of atom numbering.
 
 One batched core, :func:`morgan_hashes`, hashes every atom of many
-molecules at once.  Each round builds one row of words per bonded atom,
-rows ordered by falling heavy degree so that the rows hashing a p-th
-neighbor pair lead, and runs FNV-1a over the byte columns of the rows'
-big-endian encoding in ``uint64``, whose wrapping multiplication is the
-64-bit mask of the spec.  Bond sets are bit masks of molecule-local bond
-indices in ``uint64`` words, and one sort per chunk keeps the first
-candidate of each bond set.  :func:`initial_invariants`,
-:func:`morgan_iterate` and :func:`morgan_fingerprint` are one-molecule
-views of it; :func:`fnv1a_64` is the scalar spec of the hash.
+molecules at once.  It reads their atoms and directed bonds from a
+:class:`~molcap.substructure.ChunkIndex`, the table the structural keys
+are joined on, so a featurize chunk gathers its molecules once.  Each
+round builds one row of words per bonded atom, rows ordered by falling
+heavy degree so that the rows hashing a p-th neighbor pair lead, and
+runs FNV-1a over the byte columns of the rows' big-endian encoding in
+``uint64``, whose wrapping multiplication is the 64-bit mask of the
+spec.  Bond sets are bit masks of molecule-local bond indices in
+``uint64`` words, and one sort per chunk keeps the first candidate of
+each bond set.  :func:`initial_invariants`, :func:`morgan_iterate` and
+:func:`morgan_fingerprint` are one-molecule views of it, each over
+``ChunkIndex([graph])``; :func:`fnv1a_64` is the scalar spec of the
+hash.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain
-from operator import attrgetter
 from typing import Sequence
 
 import numpy as np
 
 from .errors import ConfigError
 from .smiles import MolecularGraph
+from .substructure import ChunkIndex
 
 __all__ = [
     "AtomEnvironment",
@@ -72,11 +75,6 @@ DEFAULT_RADIUS = 2
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 _MASK64 = (1 << 64) - 1
-
-_ATOM_FIELDS = attrgetter(
-    "element", "formal_charge", "explicit_h", "implicit_h", "in_ring", "aromatic"
-)
-_BOND_FIELDS = attrgetter("a", "b", "order")
 
 
 def fnv1a_64(data: bytes) -> int:
@@ -180,68 +178,11 @@ class Fingerprint:
         return np.unpackbits(np.frombuffer(self.data, dtype=np.uint8))
 
 
-@dataclass(frozen=True)
-class _Atoms:
-    """The atoms and directed bonds of a chunk of molecules.
-
-    Atoms are numbered across the chunk in molecule order.  Each bond
-    appears twice, once from each end, and the directed bonds are ordered
-    by their center atom, so the bonds of atom ``i`` fill ``first[i]`` up
-    to ``first[i] + degree[i]``.
-    """
-
-    molecule: np.ndarray  # (N,) molecule of each atom
-    local: np.ndarray  # (N,) atom index within its molecule
-    degree: np.ndarray  # (N,) heavy degree
-    invariants: np.ndarray  # (N,) round-0 hashes, uint64
-    neighbor: np.ndarray  # (E,) neighbor atom of each directed bond
-    order: np.ndarray  # (E,) bond order, uint64
-    bond: np.ndarray  # (E,) molecule-local bond index
-    first: np.ndarray  # (N,) first directed bond of each atom
-    bond_words: int  # uint64 words per bond-set mask
-
-
-def _atoms(graphs: Sequence[MolecularGraph]) -> _Atoms:
-    """Gather the atom invariants and bond table of every molecule."""
-    atom_counts = np.array([len(g.atoms) for g in graphs], dtype=np.int64)
-    bond_counts = np.array([len(g.bonds) for g in graphs], dtype=np.int64)
-    n, n_bonds = int(atom_counts.sum()), int(bond_counts.sum())
-    fields = np.fromiter(
-        chain.from_iterable(map(_ATOM_FIELDS, chain.from_iterable(g.atoms for g in graphs))),
-        dtype=np.int64,
-        count=6 * n,
-    ).reshape(n, 6)
-    bonds = np.fromiter(
-        chain.from_iterable(map(_BOND_FIELDS, chain.from_iterable(g.bonds for g in graphs))),
-        dtype=np.int64,
-        count=3 * n_bonds,
-    ).reshape(n_bonds, 3)
-
-    molecules = np.arange(len(graphs))
-    molecule = np.repeat(molecules, atom_counts)
-    atom_start = np.cumsum(atom_counts) - atom_counts
-    bond_molecule = np.repeat(molecules, bond_counts)
-    ends = bonds[:, :2] + atom_start[bond_molecule, None]
-    local_bond = np.arange(n_bonds) - (np.cumsum(bond_counts) - bond_counts)[bond_molecule]
-    degree = np.bincount(ends.ravel(), minlength=n)
-
-    # (element, heavy_degree, formal_charge, total_h, in_ring, aromatic)
-    rows = np.column_stack(
-        (fields[:, 0], degree, fields[:, 1], fields[:, 2] + fields[:, 3], fields[:, 4:])
-    )
-    center = np.concatenate((ends[:, 0], ends[:, 1]))
-    by_center = np.argsort(center, kind="stable")
-    return _Atoms(
-        molecule=molecule,
-        local=np.arange(n) - atom_start[molecule],
-        degree=degree,
-        invariants=_hash_rows(rows),
-        neighbor=np.concatenate((ends[:, 1], ends[:, 0]))[by_center],
-        order=np.tile(bonds[:, 2], 2)[by_center].astype(np.uint64),
-        bond=np.tile(local_bond, 2)[by_center],
-        first=np.cumsum(degree) - degree,
-        bond_words=max(1, -(-int(bond_counts.max(initial=0)) // 64)),
-    )
+def _invariants(chunk: ChunkIndex) -> np.ndarray:
+    """Round-0 hashes of the chunk's atoms, uint64, one row per atom of
+    (element, heavy_degree, formal_charge, total_h, in_ring, aromatic)."""
+    columns = ("elements", "degree", "charges", "hydrogens", "in_ring", "aromatic")
+    return _hash_rows(np.column_stack([getattr(chunk, name) for name in columns]))
 
 
 def _first_of_runs(*keys: np.ndarray) -> np.ndarray:
@@ -253,7 +194,7 @@ def _first_of_runs(*keys: np.ndarray) -> np.ndarray:
 
 
 def _environments(
-    graphs: Sequence[MolecularGraph], radius: int
+    chunk: ChunkIndex, radius: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The retained environments of every molecule, in retention order.
 
@@ -267,9 +208,8 @@ def _environments(
         ConfigError: Negative radius.
     """
     check_fingerprint_radius(radius)
-    atoms = _atoms(graphs)
-    hashes = atoms.invariants
-    masks = np.zeros((len(hashes), atoms.bond_words), dtype=np.uint64)
+    hashes = _invariants(chunk)
+    masks = np.zeros((len(hashes), chunk.bond_words), dtype=np.uint64)
     # Candidates of each round in (hash, atom) order: every atom in round
     # 0, every bonded atom (whose bond set is never empty) after it.
     ranked = np.argsort(hashes, kind="stable")
@@ -278,21 +218,21 @@ def _environments(
     # One row of words per bonded atom, atoms by falling degree so the rows
     # that hash a p-th neighbor pair lead; padded pairs sort last and no
     # row hashes them.
-    bonded = np.flatnonzero(atoms.degree)
-    rowed = bonded[np.argsort(-atoms.degree[bonded], kind="stable")]
-    width = int(atoms.degree.max(initial=0))
-    padded = np.arange(width) >= atoms.degree[rowed, None]
-    slots = np.where(padded, 0, atoms.first[rowed, None] + np.arange(width))
-    pair_order = np.where(padded, np.uint64(_MASK64), atoms.order[slots])
+    bonded = np.flatnonzero(chunk.degree)
+    rowed = bonded[np.argsort(-chunk.degree[bonded], kind="stable")]
+    width = int(chunk.degree.max(initial=0))
+    padded = np.arange(width) >= chunk.degree[rowed, None]
+    slots = np.where(padded, 0, chunk.first[rowed, None] + np.arange(width))
+    pair_order = np.where(padded, np.uint64(_MASK64), chunk.bond_orders[slots].astype(np.uint64))
     active = [len(rowed)] * 2
     for p in range(width):
         active += [int(np.count_nonzero(~padded[:, p]))] * 2
-    bits = np.zeros((len(atoms.bond), atoms.bond_words), dtype=np.uint64)
-    bits[np.arange(len(atoms.bond)), atoms.bond >> 6] = np.left_shift(
-        np.uint64(1), (atoms.bond & 63).astype(np.uint64)
+    bits = np.zeros((len(chunk.bonds), chunk.bond_words), dtype=np.uint64)
+    bits[np.arange(len(chunk.bonds)), chunk.bonds >> 6] = np.left_shift(
+        np.uint64(1), (chunk.bonds & 63).astype(np.uint64)
     )
     for r in range(1, radius + 1):
-        pair_hash = hashes[atoms.neighbor[slots]]
+        pair_hash = hashes[chunk.targets[slots]]
         pairs = np.lexsort((pair_hash, pair_order))
         words = np.empty((len(rowed), 2 + 2 * width), dtype=np.uint64)
         words[:, 0] = r
@@ -304,7 +244,7 @@ def _environments(
         new_masks = np.zeros_like(masks)
         if len(bonded):
             new_masks[bonded] = np.bitwise_or.reduceat(
-                bits | masks[atoms.neighbor], atoms.first[bonded], axis=0
+                bits | masks[chunk.targets], chunk.first[bonded], axis=0
             )
         hashes, masks = new_hashes, new_masks
         ranked = bonded[np.argsort(hashes[bonded], kind="stable")]
@@ -313,9 +253,9 @@ def _environments(
     # A stable sort by molecule of the rounds laid end to end puts each
     # molecule's candidates in (round, hash, center) order.
     atom, rounds, env_hash, env_masks = (np.concatenate(column) for column in zip(*found))
-    order = np.argsort(atoms.molecule[atom], kind="stable")
+    order = np.argsort(chunk.molecule[atom], kind="stable")
     atom, rounds, env_hash, env_masks = atom[order], rounds[order], env_hash[order], env_masks[order]
-    molecule = atoms.molecule[atom]
+    molecule = chunk.molecule[atom]
     # Round 0 keeps the first atom of each invariant; later rounds keep the
     # first candidate of each bond set (a stable sort keeps molecules and
     # candidates of one bond set in order).
@@ -323,31 +263,32 @@ def _environments(
     later = np.flatnonzero(rounds)
     ranked = later[np.lexsort(env_masks[later].T)]
     keep[ranked[~_first_of_runs(molecule[ranked], *env_masks[ranked].T)]] = False
-    return molecule[keep], rounds[keep], env_hash[keep], atoms.local[atom[keep]], env_masks[keep]
+    return molecule[keep], rounds[keep], env_hash[keep], chunk.local[atom[keep]], env_masks[keep]
 
 
-def morgan_hashes(graphs: Sequence[MolecularGraph], radius: int) -> list[np.ndarray]:
+def morgan_hashes(chunk: ChunkIndex, radius: int) -> list[np.ndarray]:
     """Hash many molecules at once.
 
     Args:
-        graphs: Parsed molecules.
+        chunk: The molecules' atom and bond table.
         radius: Number of expansion rounds (0 keeps initial values only).
 
     Returns:
-        Per molecule, the uint64 hashes of its retained environments in
-        retention order, as :func:`morgan_iterate` lists them.
+        Per molecule of the chunk, the uint64 hashes of its retained
+        environments in retention order, as :func:`morgan_iterate` lists
+        them; an empty list for an empty chunk.
 
     Raises:
         ConfigError: Negative radius.
     """
-    molecule, _, hashes, _, _ = _environments(graphs, radius)
-    ends = np.cumsum(np.bincount(molecule, minlength=len(graphs)))
-    return np.split(hashes, ends[:-1])
+    molecule, _, hashes, _, _ = _environments(chunk, radius)
+    ends = np.cumsum(np.bincount(molecule, minlength=chunk.n_molecules))
+    return np.split(hashes, ends)[:-1]
 
 
 def initial_invariants(graph: MolecularGraph) -> list[int]:
     """Per-atom 64-bit starting values from local atom properties."""
-    return _atoms([graph]).invariants.tolist()
+    return _invariants(ChunkIndex([graph])).tolist()
 
 
 def morgan_iterate(graph: MolecularGraph, radius: int) -> list[AtomEnvironment]:
@@ -363,7 +304,7 @@ def morgan_iterate(graph: MolecularGraph, radius: int) -> list[AtomEnvironment]:
     Raises:
         ConfigError: Negative radius.
     """
-    _, rounds, hashes, centers, masks = _environments([graph], radius)
+    _, rounds, hashes, centers, masks = _environments(ChunkIndex([graph]), radius)
     bits = np.unpackbits(masks.astype("<u8").view(np.uint8), axis=1, bitorder="little")
     return [
         AtomEnvironment(center, r, h, frozenset(np.flatnonzero(row).tolist()))
@@ -435,5 +376,5 @@ def morgan_fingerprint(
             least 8.
     """
     if hashes is None:
-        hashes = morgan_hashes([graph], radius)[0]
+        hashes = morgan_hashes(ChunkIndex([graph]), radius)[0]
     return _fold(hashes, nbits, radius)

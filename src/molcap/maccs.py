@@ -23,17 +23,17 @@ Bit 0 is reserved so indices line up with the conventional 1-based key
 numbering.
 
 Keys are answered a featurize chunk at a time.  :func:`key_answers`
-builds one :class:`~molcap.substructure.ChunkIndex` of many molecules
-and answers every key whose bit one occurrence decides: each pattern key
-of threshold 1 by one join over the whole chunk
-(:func:`~molcap.substructure.embedded_molecules`), and every
-element-count and ring-size key, whatever its threshold, by per-molecule
-counts over the same arrays.  Pattern keys of a threshold above 1 (in
-the shipped file, keys 125, 131, 136, 138, 141 and 149) need that many
-distinct matched atom sets, which the join does not count; they are the
-*counted* keys, and :func:`evaluate_keys` answers them one molecule at a
-time with :func:`~molcap.substructure.match_subgraph`, which stops at
-the threshold.
+reads the chunk's :class:`~molcap.substructure.ChunkIndex`, the one atom
+and bond table that the Morgan hashing reads too, and answers every key
+whose bit one occurrence decides: each pattern key of threshold 1 by one
+join over the whole chunk (:func:`~molcap.substructure.embedded_molecules`),
+and every element-count and ring-size key, whatever its threshold, by
+per-molecule counts over the same arrays.  Pattern keys of a threshold
+above 1 (in the shipped file, keys 125, 131, 136, 138, 141 and 149) need
+that many distinct matched atom sets, which the join does not count;
+they are the *counted* keys, and :func:`evaluate_keys` answers them one
+molecule at a time with :func:`~molcap.substructure.match_subgraph`,
+which stops at the threshold.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ import os
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
@@ -230,32 +229,29 @@ def _check_definitions(definitions: list[KeyDefinition]) -> None:
             )
 
 
-def key_answers(
-    graphs: Sequence[MolecularGraph], definitions: list[KeyDefinition]
-) -> np.ndarray:
+def key_answers(chunk: ChunkIndex, definitions: list[KeyDefinition]) -> np.ndarray:
     """Answer every key but the counted ones for many molecules at once.
 
     Args:
-        graphs: Parsed molecules.
+        chunk: The molecules' atom and bond table.
         definitions: The 167 loaded definitions, in index order.
 
     Returns:
-        (len(graphs), 167) uint8: row k holds the bits of ``graphs[k]``;
-        the columns of counted keys (pattern keys of a threshold above
-        1) are zero, for :func:`evaluate_keys` to fill.
+        (chunk.n_molecules, 167) uint8: row k holds the bits of the
+        chunk's molecule k; the columns of counted keys (pattern keys of
+        a threshold above 1) are zero, for :func:`evaluate_keys` to fill.
 
     Raises:
         KeyFileError: Not 167 definitions, or not in index order.
     """
     _check_definitions(definitions)
-    chunk = ChunkIndex(graphs)
-    answers = np.zeros((len(graphs), N_KEYS), dtype=np.uint8)
+    n = chunk.n_molecules
+    answers = np.zeros((n, N_KEYS), dtype=np.uint8)
     # Per molecule, its atoms by atomic number.
     elements = np.bincount(
-        chunk.molecule * _ELEMENTS + chunk.elements, minlength=len(graphs) * _ELEMENTS
-    ).reshape(len(graphs), _ELEMENTS)
-    ring_sizes = np.array([len(ring) for g in graphs for ring in g.rings], dtype=np.intp)
-    ring_molecule = np.repeat(np.arange(len(graphs)), [len(g.rings) for g in graphs])
+        chunk.molecule * _ELEMENTS + chunk.elements, minlength=n * _ELEMENTS
+    ).reshape(n, _ELEMENTS)
+    ring_sizes = chunk.ring_sizes
     for definition in definitions:
         if definition.query is not None:
             if definition.threshold == 1:
@@ -268,7 +264,7 @@ def key_answers(
             assert definition.ring_size is not None
             size = definition.ring_size
             sized = ring_sizes >= size if definition.ring_or_larger else ring_sizes == size
-            counts = np.bincount(ring_molecule[sized], minlength=len(graphs))
+            counts = np.bincount(chunk.ring_molecule[sized], minlength=n)
         else:  # always-zero
             continue
         answers[:, definition.index] = counts >= definition.threshold
@@ -308,7 +304,7 @@ def evaluate_keys(
     """
     _check_definitions(definitions)
     if answers is None:
-        answers = key_answers([graph], definitions)[0]
+        answers = key_answers(ChunkIndex([graph]), definitions)[0]
     bits = bytearray(answers.astype(np.uint8, copy=False).tobytes())
     counted = [d for d in definitions if d.query is not None and d.threshold > 1]
     if counted:

@@ -30,11 +30,12 @@ matched.
 
 :func:`embedded_molecules` answers a yes/no question, whether a query
 has any embedding, for many molecules at once.  A :class:`ChunkIndex`
-numbers their atoms in one array and keeps their directed bonds sorted,
-and a join grows every partial embedding of the whole chunk one query
-atom at a time, as rows of a NumPy array.  Both indexes take their
-candidate atoms from one predicate function, on Python-int bitsets and
-on NumPy boolean arrays alike.
+numbers their atoms in one array and keeps their directed bonds sorted
+(the Morgan hashing reads the same table), and a join grows every
+partial embedding of the whole chunk one query atom at a time, as rows
+of a NumPy array.  Both indexes take their candidate atoms from one
+predicate function, on Python-int bitsets and on NumPy boolean arrays
+alike.
 """
 
 from __future__ import annotations
@@ -563,18 +564,24 @@ JOIN_ROW_BUDGET = 2**15
 class ChunkIndex:
     """Array tables of many molecules, shared by every query joined on them.
 
-    Atoms are numbered chunk-wide, molecule after molecule; per atom,
-    ``molecule``, ``elements``, ``charges``, ``degree`` (heavy degree),
-    ``hydrogens`` (total H), ``aromatic`` and ``in_ring`` are arrays.
-    Every bond is stored in both directions, sorted by (source, target):
-    the bonds leaving atom ``i`` are ``first[i]:first[i + 1]``, with
-    neighbours ``targets`` and sorted keys ``edge_keys`` (source *
-    atom count + target), and ``bond_kinds[kind]`` marks those that
-    satisfy query bond kind ``kind``.  Candidate masks, one boolean
-    array per distinct query-atom predicate, are built on first use by
-    the :func:`_predicate_mask` that :class:`MoleculeIndex` uses.  A
-    pair of atoms is assumed to share at most one bond, as in every
-    graph :func:`~molcap.smiles.parse_smiles` returns.
+    The one atom and bond table of a featurize chunk: the Morgan hashing
+    (:func:`~molcap.fingerprints.morgan_hashes`) and the structural keys
+    (:func:`~molcap.maccs.key_answers`) both read it.  Atoms are numbered
+    chunk-wide, molecule after molecule; per atom, ``molecule``,
+    ``local`` (index within its molecule), ``elements``, ``charges``,
+    ``degree`` (heavy degree), ``hydrogens`` (total H), ``aromatic`` and
+    ``in_ring`` are arrays.  Every bond is stored in both directions,
+    sorted by (source, target): the bonds leaving atom ``i`` are
+    ``first[i]:first[i + 1]``, with neighbours ``targets``, sorted keys
+    ``edge_keys`` (source * atom count + target), ``bond_orders`` and
+    molecule-local bond indices ``bonds``, and ``bond_kinds[kind]`` marks
+    those that satisfy query bond kind ``kind``.  ``bond_words`` uint64
+    words hold one bit per bond of the chunk's largest molecule.  Per
+    basis ring, ``ring_sizes`` and ``ring_molecule``.  Candidate masks,
+    one boolean array per distinct query-atom predicate, are built on
+    first use by the :func:`_predicate_mask` that :class:`MoleculeIndex`
+    uses.  A pair of atoms is assumed to share at most one bond, as in
+    every graph :func:`~molcap.smiles.parse_smiles` returns.
     """
 
     def __init__(self, graphs: Sequence[MolecularGraph]) -> None:
@@ -591,16 +598,23 @@ class ChunkIndex:
             dtype=np.int64,
             count=3 * n_bonds,
         ).reshape(n_bonds, 3)
+        molecules = np.arange(len(graphs))
         self.n_molecules = len(graphs)
         self.n_atoms = n
-        self.molecule = np.repeat(np.arange(len(graphs)), atom_counts)
+        self.molecule = np.repeat(molecules, atom_counts)
         atom_start = np.cumsum(atom_counts) - atom_counts
+        self.local = np.arange(n) - atom_start[self.molecule]
         ends = bonds[:, :2] + np.repeat(atom_start, bond_counts)[:, None]
         keys = np.concatenate((ends[:, 0] * n + ends[:, 1], ends[:, 1] * n + ends[:, 0]))
         by_key = np.argsort(keys)
         self.edge_keys = keys[by_key]
         self.targets = self.edge_keys % max(n, 1)
-        self.bond_kinds = _ORDER_SATISFIES[:, np.tile(bonds[:, 2], 2)[by_key]]
+        self.bond_orders = np.tile(bonds[:, 2], 2)[by_key]
+        self.bond_kinds = _ORDER_SATISFIES[:, self.bond_orders]
+        bond_start = np.cumsum(bond_counts) - bond_counts
+        local_bond = np.arange(n_bonds) - np.repeat(bond_start, bond_counts)
+        self.bonds = np.tile(local_bond, 2)[by_key]
+        self.bond_words = max(1, -(-int(bond_counts.max(initial=0)) // 64))
         self.degree = np.bincount(self.edge_keys // max(n, 1), minlength=n)
         self.first = np.concatenate(([0], np.cumsum(self.degree)))
         self.elements = fields[:, 0]
@@ -610,6 +624,8 @@ class ChunkIndex:
         self.none = np.zeros(n, dtype=bool)
         self.aromatic = fields[:, 4].astype(bool)
         self.in_ring = fields[:, 5].astype(bool)
+        self.ring_sizes = np.array([len(ring) for g in graphs for ring in g.rings], dtype=np.intp)
+        self.ring_molecule = np.repeat(molecules, [len(g.rings) for g in graphs])
         self._candidates: dict[str, tuple[np.ndarray, int]] = {}
 
     def element(self, z: int) -> np.ndarray:

@@ -37,6 +37,7 @@ from molcap.errors import (
     TooFewExamplesError,
 )
 from molcap.imaging import PALETTE, ChemImage
+from molcap.smiles import parse_smiles
 
 from util import random_smiles
 
@@ -244,6 +245,34 @@ def test_featurize_builds_each_bond_table_once(monkeypatch) -> None:
     assert len(calls) == len(smiles) - 1
 
 
+def _record_chunks(monkeypatch) -> dict[str, list]:
+    """Record the table that each of the featurize chunk's Morgan and key
+    passes is handed, wrapping whatever ``dataset`` holds now."""
+    chunks: dict[str, list] = {"morgan_hashes": [], "key_answers": []}
+    for name, seen in chunks.items():
+        wrapped = getattr(dataset, name)
+
+        def recording(chunk, *args, seen=seen, wrapped=wrapped):
+            seen.append(chunk)
+            return wrapped(chunk, *args)
+
+        monkeypatch.setattr(dataset, name, recording)
+    return chunks
+
+
+def _check_one_chunk_over_placed(chunks: dict[str, list], smiles: list[str], report) -> None:
+    """Both passes read one and the same table, built over exactly the
+    molecules the relax left placed."""
+    hashed, keyed = chunks["morgan_hashes"], chunks["key_answers"]
+    assert len(hashed) == len(keyed) == 1
+    assert hashed[0] is keyed[0]
+    dropped = {index for index, _, reason in report.entries if reason != "does-not-fit"}
+    placed = [parse_smiles(s) for i, s in enumerate(smiles) if i not in dropped]
+    assert hashed[0].n_molecules == len(placed)
+    assert hashed[0].n_atoms == sum(len(graph.atoms) for graph in placed)
+    assert np.array_equal(hashed[0].elements, [a.element for g in placed for a in g.atoms])
+
+
 def test_featurize_hashes_each_chunk_once_over_its_placed_molecules(monkeypatch) -> None:
     # One batched hash pass per chunk covers exactly the molecules the
     # relax left placed: not the parse error, not the layout failures.
@@ -253,17 +282,19 @@ def test_featurize_hashes_each_chunk_once_over_its_placed_molecules(monkeypatch)
     calls: list[int] = []
     original = dataset.morgan_hashes
 
-    def counting(graphs, radius):
-        calls.append(len(graphs))
-        return original(graphs, radius)
+    def counting(chunk, radius):
+        calls.append(chunk.n_molecules)
+        return original(chunk, radius)
 
     monkeypatch.setattr(dataset, "morgan_hashes", counting)
+    chunks = _record_chunks(monkeypatch)
     examples, report = featurize_dataset([LabeledMolecule(s, 0) for s in smiles])
     assert report.counts["parse-error"] == 1
     assert report.counts["layout-failure"] >= 2
     placed = len(smiles) - report.counts["parse-error"] - report.counts["layout-failure"]
     assert calls == [placed]
     assert len(examples) == placed - report.counts.get("does-not-fit", 0)
+    _check_one_chunk_over_placed(chunks, smiles, report)
 
 
 def test_featurize_keys_each_chunk_once_over_its_placed_molecules(monkeypatch) -> None:
@@ -275,17 +306,19 @@ def test_featurize_keys_each_chunk_once_over_its_placed_molecules(monkeypatch) -
     calls: list[int] = []
     original = dataset.key_answers
 
-    def counting(graphs, definitions):
-        calls.append(len(graphs))
-        return original(graphs, definitions)
+    def counting(chunk, definitions):
+        calls.append(chunk.n_molecules)
+        return original(chunk, definitions)
 
     monkeypatch.setattr(dataset, "key_answers", counting)
+    chunks = _record_chunks(monkeypatch)
     examples, report = featurize_dataset([LabeledMolecule(s, 0) for s in smiles])
     assert report.counts["parse-error"] == 1
     assert report.counts["layout-failure"] >= 2
     placed = len(smiles) - report.counts["parse-error"] - report.counts["layout-failure"]
     assert calls == [placed]
     assert len(examples) == placed - report.counts.get("does-not-fit", 0)
+    _check_one_chunk_over_placed(chunks, smiles, report)
     alone = [featurize_dataset([LabeledMolecule(s, 0)])[0] for s in smiles]
     assert [e.keys for e in examples] == [found[0].keys for found in alone if found]
 

@@ -27,6 +27,7 @@ from molcap.fingerprints import (
     morgan_iterate,
 )
 from molcap.smiles import MolecularGraph, parse_smiles
+from molcap.substructure import ChunkIndex
 
 from util import DRUG_LIKE, WIDE_MOLECULES, permute_graph, random_smiles
 
@@ -300,9 +301,9 @@ def test_negative_radius_fails_loudly() -> None:
     with pytest.raises(ConfigError):
         morgan_iterate(graph, -1)
     with pytest.raises(ConfigError):
-        morgan_hashes([graph], -1)
+        morgan_hashes(ChunkIndex([graph]), -1)
     with pytest.raises(ConfigError):
-        morgan_fingerprint(graph, radius=-1, hashes=morgan_hashes([graph], 0)[0])
+        morgan_fingerprint(graph, radius=-1, hashes=morgan_hashes(ChunkIndex([graph]), 0)[0])
     with pytest.raises(ConfigError):
         fold_to_bits(morgan_iterate(graph, 1), 2048, radius=-1)
     with pytest.raises(ConfigError):
@@ -400,7 +401,7 @@ def test_core_matches_reference_loop() -> None:
     graphs = _reference_corpus()
     assert any(len(g.bonds) > 64 for g in graphs)
     for radius in range(4):
-        batched = morgan_hashes(graphs, radius)
+        batched = morgan_hashes(ChunkIndex(graphs), radius)
         assert len(batched) == len(graphs)
         for graph, hashes in zip(graphs, batched):
             expected = reference_morgan_iterate(graph, radius)
@@ -419,8 +420,8 @@ def test_molecule_hashes_the_same_alone_and_among_wider_ones() -> None:
     wide = [parse_smiles(s) for s in WIDE_MOLECULES]
     for smiles in DRUG_LIKE + _ODD_SMILES:
         graph = parse_smiles(smiles)
-        alone = morgan_hashes([graph], 3)[0].tolist()
-        among = morgan_hashes(wide[:2] + [graph] + wide[2:], 3)[2].tolist()
+        alone = morgan_hashes(ChunkIndex([graph]), 3)[0].tolist()
+        among = morgan_hashes(ChunkIndex(wide[:2] + [graph] + wide[2:]), 3)[2].tolist()
         assert among == alone
 
 

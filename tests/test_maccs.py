@@ -28,7 +28,7 @@ from molcap.maccs import (
     load_key_definitions,
 )
 from molcap.smiles import parse_smiles
-from molcap.substructure import MoleculeIndex, match_subgraph
+from molcap.substructure import ChunkIndex, MoleculeIndex, match_subgraph
 
 from test_substructure import oracle_match_sets
 from util import DRUG_LIKE, WIDE_MOLECULES, featurize_corpus, permute_graph, random_smiles
@@ -289,7 +289,7 @@ def test_definitions_out_of_index_order_rejected(definitions) -> None:
         with pytest.raises(KeyFileError, match="index order"):
             evaluate_keys(graph, wrong)
         with pytest.raises(KeyFileError, match="index order"):
-            key_answers([graph], wrong)
+            key_answers(ChunkIndex([graph]), wrong)
 
 
 # --------------------------------------------------------------------------
@@ -373,13 +373,16 @@ def _expected_row(graph, definitions) -> list[int]:
 def test_key_answers_match_uncapped_matcher_in_chunks_and_alone(definitions) -> None:
     graphs = [parse_smiles(s) for s in _chunk_corpus()]
     chunked = np.concatenate(
-        [key_answers(graphs[i : i + 256], definitions) for i in range(0, len(graphs), 256)]
+        [
+            key_answers(ChunkIndex(graphs[i : i + 256]), definitions)
+            for i in range(0, len(graphs), 256)
+        ]
     )
     assert chunked.shape == (len(graphs), N_KEYS) and chunked.dtype == np.uint8
     for k, graph in enumerate(graphs):
         assert chunked[k].tolist() == _expected_row(graph, definitions), k
         if k % 4 == 0:
-            assert np.array_equal(key_answers([graph], definitions)[0], chunked[k]), k
+            assert np.array_equal(key_answers(ChunkIndex([graph]), definitions)[0], chunked[k]), k
 
 
 def test_key_answers_agree_with_permutation_oracle(definitions) -> None:
@@ -390,7 +393,7 @@ def test_key_answers_agree_with_permutation_oracle(definitions) -> None:
     ]
     assert len(small) >= 30 and len(keys) >= 40
     graphs = [parse_smiles(s) for s in small]
-    answers = key_answers(graphs, definitions)
+    answers = key_answers(ChunkIndex(graphs), definitions)
     for graph, row in zip(graphs, answers):
         for d in keys:
             assert row[d.index] == (1 if oracle_match_sets(graph, d.query) else 0), d.index
@@ -398,7 +401,7 @@ def test_key_answers_agree_with_permutation_oracle(definitions) -> None:
 
 def test_evaluate_keys_gives_the_same_bits_from_chunk_answers(definitions) -> None:
     graphs = [parse_smiles(s) for s in featurize_corpus(count=60) + list(NAMED)]
-    for graph, row in zip(graphs, key_answers(graphs, definitions)):
+    for graph, row in zip(graphs, key_answers(ChunkIndex(graphs), definitions)):
         assert evaluate_keys(graph, definitions, row) == evaluate_keys(graph, definitions)
 
 
@@ -407,8 +410,8 @@ def test_molecule_keys_the_same_alone_and_among_wider_ones(definitions) -> None:
     wider = [parse_smiles(random_smiles(rng, max_atoms=40)) for _ in range(30)]
     for smiles in ("c1ccccc1O", "CC(=O)[O-]", "C1CC2CCC1C2", "C", "[Na+].[Cl-]"):
         graph = parse_smiles(smiles)
-        alone = key_answers([graph], definitions)[0]
-        among = key_answers(wider[:15] + [graph] + wider[15:], definitions)[15]
+        alone = key_answers(ChunkIndex([graph]), definitions)[0]
+        among = key_answers(ChunkIndex(wider[:15] + [graph] + wider[15:]), definitions)[15]
         assert np.array_equal(alone, among), smiles
 
 
@@ -440,7 +443,7 @@ def test_join_keeps_each_step_under_the_row_budget(monkeypatch, tmp_path, budget
 
     monkeypatch.setattr(substructure, "_extend", recording)
     graphs = [parse_smiles(s) for s in WIDE_MOLECULES * 16 + ("CC", "C1CCCC1")]
-    answers = key_answers(graphs, definitions)
+    answers = key_answers(ChunkIndex(graphs), definitions)
     # Five steps for the path, four for the ring, and more once split.
     assert len(steps) > 9
     assert max(steps) <= substructure.JOIN_ROW_BUDGET

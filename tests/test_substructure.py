@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from molcap.errors import MalformedPatternError, UnsupportedPrimitiveError
+from molcap.fingerprints import initial_invariants, morgan_hashes
 from molcap.maccs import load_key_definitions
 from molcap.smiles import BondOrder, MolecularGraph, parse_smiles
 from molcap.substructure import (
@@ -403,6 +404,12 @@ def test_join_on_empty_and_bondless_chunks() -> None:
     graphs = [parse_smiles(s) for s in ("C", "[Na+].[Cl-]", "CC")]
     assert embedded_molecules(ChunkIndex(graphs), query).tolist() == [False, False, True]
     assert embedded_molecules(ChunkIndex(graphs[:2]), parse_query("C1CC1")).tolist() == [False, False]
+    # The Morgan hashing reads the same tables: one entry per molecule,
+    # none for an empty chunk, and only round-0 values where no atom is
+    # bonded, whatever the radius.
+    assert morgan_hashes(ChunkIndex([]), 2) == []
+    hashes = morgan_hashes(ChunkIndex(graphs[:2]), 2)
+    assert [h.tolist() for h in hashes] == [sorted(set(initial_invariants(g))) for g in graphs[:2]]
 
 
 def test_shared_index_gives_the_same_result_as_a_fresh_one() -> None:
