@@ -258,8 +258,8 @@ def _featurize_chunk(
     :func:`key_answers` pass, so both read the same table.  Each
     molecule goes through :func:`layout_2d` (which raises for a placement
     the relax left NaN), raster with the relax's bond table, the fold of
-    its hashes into a fingerprint, and :func:`evaluate_keys`, which adds
-    the counted keys to its row of key answers.
+    its hashes into a fingerprint, and :func:`evaluate_keys`, which wraps
+    its row of key answers.
     """
     results: list[CaptionedExample | str] = [REASON_PARSE] * len(molecules)
     parsed = []
@@ -366,13 +366,13 @@ def featurize_dataset(
     From that one table it hashes the Morgan environments
     (:func:`morgan_hashes`) and answers the structural keys
     (:func:`key_answers`: one join per threshold-1 pattern key, counts
-    for the element and ring keys), each in one batched pass.  It then
-    wraps each result with :func:`layout_2d`, which raises for a
-    placement the relax could not repair, draws it with the bond table
-    the relax built, folds its hashes into a fingerprint and keys it
-    (:func:`evaluate_keys` adds the few counted keys, pattern keys of a
-    threshold above 1).  Every output byte is the same for any chunking
-    and worker count.
+    for the element and ring keys, and a per-molecule search for the few
+    counted keys, pattern keys of a threshold above 1), each in one
+    batched pass.  It then wraps each result with :func:`layout_2d`,
+    which raises for a placement the relax could not repair, draws it
+    with the bond table the relax built, folds its hashes into a
+    fingerprint and wraps its row of key answers (:func:`evaluate_keys`).
+    Every output byte is the same for any chunking and worker count.
 
     Args:
         molecules: Loaded corpus, order preserved in the output.

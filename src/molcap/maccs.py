@@ -24,16 +24,18 @@ numbering.
 
 Keys are answered a featurize chunk at a time.  :func:`key_answers`
 reads the chunk's :class:`~molcap.substructure.ChunkIndex`, the one atom
-and bond table that the Morgan hashing reads too, and answers every key
-whose bit one occurrence decides: each pattern key of threshold 1 by one
-join over the whole chunk (:func:`~molcap.substructure.embedded_molecules`),
-and every element-count and ring-size key, whatever its threshold, by
-per-molecule counts over the same arrays.  Pattern keys of a threshold
+and bond table that the Morgan hashing reads too, and answers all 167
+keys.  Each pattern key of threshold 1 is one join over the whole chunk
+(:func:`~molcap.substructure.embedded_molecules`), and every
+element-count and ring-size key, whatever its threshold, is a
+per-molecule count over the same arrays.  Pattern keys of a threshold
 above 1 (in the shipped file, keys 125, 131, 136, 138, 141 and 149) need
 that many distinct matched atom sets, which the join does not count;
-they are the *counted* keys, and :func:`evaluate_keys` answers them one
-molecule at a time with :func:`~molcap.substructure.match_subgraph`,
-which stops at the threshold.
+these *counted* keys are answered one molecule at a time by
+:func:`~molcap.substructure.match_subgraph`, which stops at the
+threshold, on one :class:`~molcap.substructure.MoleculeIndex` view of
+the same table per molecule.  :func:`evaluate_keys` wraps one molecule's
+row.
 """
 
 from __future__ import annotations
@@ -230,7 +232,7 @@ def _check_definitions(definitions: list[KeyDefinition]) -> None:
 
 
 def key_answers(chunk: ChunkIndex, definitions: list[KeyDefinition]) -> np.ndarray:
-    """Answer every key but the counted ones for many molecules at once.
+    """Answer every key for many molecules at once.
 
     Args:
         chunk: The molecules' atom and bond table.
@@ -238,8 +240,8 @@ def key_answers(chunk: ChunkIndex, definitions: list[KeyDefinition]) -> np.ndarr
 
     Returns:
         (chunk.n_molecules, 167) uint8: row k holds the bits of the
-        chunk's molecule k; the columns of counted keys (pattern keys of
-        a threshold above 1) are zero, for :func:`evaluate_keys` to fill.
+        chunk's molecule k; bit i is 1 iff key i's count reaches its
+        threshold.
 
     Raises:
         KeyFileError: Not 167 definitions, or not in index order.
@@ -268,6 +270,13 @@ def key_answers(chunk: ChunkIndex, definitions: list[KeyDefinition]) -> np.ndarr
         else:  # always-zero
             continue
         answers[:, definition.index] = counts >= definition.threshold
+    counted = [d for d in definitions if d.query is not None and d.threshold > 1]
+    if counted:
+        for row, graph in enumerate(chunk.graphs):
+            index = MoleculeIndex(chunk, row)
+            for d in counted:
+                count = match_subgraph(graph, d.query, d.threshold, index).count
+                answers[row, d.index] = count >= d.threshold
     return answers
 
 
@@ -293,25 +302,10 @@ def evaluate_keys(
         KeyFileError: Not 167 definitions, or not in index order, so
             that a bit would land at the wrong index.
 
-    Every key that one occurrence decides (threshold-1 pattern keys) or
-    that counts atoms or rings is taken from ``answers``.  The counted
-    keys, pattern keys of a threshold above 1, need that many distinct
-    matched atom sets, which the chunk join does not count, so they are
-    answered here: one :class:`~molcap.substructure.MoleculeIndex` of
-    ``graph`` is shared by their
-    :func:`~molcap.substructure.match_subgraph` calls, each stopping at
-    its key's threshold.
+    Every bit comes from the molecule's row of :func:`key_answers`;
+    ``graph`` is read only when that row is computed here.
     """
     _check_definitions(definitions)
     if answers is None:
         answers = key_answers(ChunkIndex([graph]), definitions)[0]
-    bits = bytearray(answers.astype(np.uint8, copy=False).tobytes())
-    counted = [d for d in definitions if d.query is not None and d.threshold > 1]
-    if counted:
-        index = MoleculeIndex(graph)
-        for definition in counted:
-            count = match_subgraph(
-                graph, definition.query, max_count=definition.threshold, index=index
-            ).count
-            bits[definition.index] = 1 if count >= definition.threshold else 0
-    return KeyVector(bits=bytes(bits))
+    return KeyVector(bits=answers.astype(np.uint8, copy=False).tobytes())

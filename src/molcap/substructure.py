@@ -22,20 +22,23 @@ Matching is monomorphic (extra molecule bonds never block a match) and
 counts are deduplicated by the set of matched molecule atoms, so a
 symmetric pattern does not count its own automorphisms.
 
-The search runs on bitsets, in the manner of Ullmann's bit-matrix
-refinement (J. ACM 23:31, 1976): a :class:`MoleculeIndex` keeps sets of
-one molecule's atoms as Python ints, and each step of a match intersects
-a query atom's candidate set with the neighbour sets of the atoms already
-matched.
+One table holds the atoms and bonds of many molecules: a
+:class:`ChunkIndex` numbers their atoms in one array and keeps their
+directed bonds sorted (the Morgan hashing reads the same table).  It
+answers each query-atom predicate once, as a NumPy boolean array over
+all its atoms.
 
 :func:`embedded_molecules` answers a yes/no question, whether a query
-has any embedding, for many molecules at once.  A :class:`ChunkIndex`
-numbers their atoms in one array and keeps their directed bonds sorted
-(the Morgan hashing reads the same table), and a join grows every
-partial embedding of the whole chunk one query atom at a time, as rows
-of a NumPy array.  Both indexes take their candidate atoms from one
-predicate function, on Python-int bitsets and on NumPy boolean arrays
-alike.
+has any embedding, for every molecule of a chunk at once: a join grows
+every partial embedding of the whole chunk one query atom at a time, as
+rows of a NumPy array.
+
+:func:`match_subgraph` counts the embeddings in one molecule.  Its
+search runs on bitsets, in the manner of Ullmann's bit-matrix refinement
+(J. ACM 23:31, 1976): a :class:`MoleculeIndex`, one molecule's view of a
+chunk, packs that molecule's slice of the chunk's arrays into Python
+ints, and each step of a match intersects a query atom's candidate set
+with the neighbour sets of the atoms already matched.
 """
 
 from __future__ import annotations
@@ -104,17 +107,9 @@ _BOND_KIND_ORDERS = {
     "any": tuple(BondOrder),
 }
 _BOND_KINDS = tuple(_BOND_KIND_ORDERS)
-# Indices of the query bond kinds each molecule bond order satisfies.
-_KINDS_OF_ORDER = {
-    order: tuple(kind for kind, orders in enumerate(_BOND_KIND_ORDERS.values()) if order in orders)
-    for order in BondOrder
-}
 # ``_ORDER_SATISFIES[kind, order]``: a bond of that order satisfies that kind.
 _ORDER_SATISFIES = np.array(
-    [
-        [kind in _KINDS_OF_ORDER.get(order, ()) for order in range(max(BondOrder) + 1)]
-        for kind in range(len(_BOND_KINDS))
-    ]
+    [[order in orders for order in range(max(BondOrder) + 1)] for orders in _BOND_KIND_ORDERS.values()]
 )
 
 
@@ -450,106 +445,6 @@ def _check_connected(query: QueryPattern, pattern: str) -> None:
 # Matching
 
 
-class MoleculeIndex:
-    """Bitmask tables of one molecule, shared by every query matched on it.
-
-    Bit ``m`` of a mask stands for molecule atom ``m``; masks are Python
-    ints, so a molecule may have any number of atoms.  ``bond_masks[kind]
-    [i]`` holds the neighbours of atom ``i`` joined by a bond of that
-    query bond kind (single, double, triple, aromatic, default, any).
-    Candidate masks, the atoms satisfying each distinct query-atom
-    predicate, are built on first use by :func:`_predicate_mask` from
-    masks of the atoms by element, charge, heavy degree and hydrogen
-    count, and of the aromatic and ring atoms.  The graph must not change
-    while the index is in use.
-    """
-
-    def __init__(self, graph: MolecularGraph) -> None:
-        self.graph = graph
-        n = len(graph.atoms)
-        self.bond_masks: list[list[int]] = [[0] * n for _ in _BOND_KINDS]
-        for bond in graph.bonds:
-            for kind in _KINDS_OF_ORDER[bond.order]:
-                masks = self.bond_masks[kind]
-                masks[bond.a] |= 1 << bond.b
-                masks[bond.b] |= 1 << bond.a
-        atoms = graph.atoms
-        self.all = (1 << n) - 1
-        self.none = 0
-        self.aromatic = _masks_by_value(atom.aromatic for atom in atoms).get(True, 0)
-        self.in_ring = _masks_by_value(atom.in_ring for atom in atoms).get(True, 0)
-        self._by_element = _masks_by_value(atom.element for atom in atoms)
-        self._by_charge = _masks_by_value(atom.formal_charge for atom in atoms)
-        self._by_degree = _masks_by_value(map(graph.heavy_degree, range(n)))
-        self._by_h = _masks_by_value(atom.total_h for atom in atoms)
-        self._candidates: dict[str, int] = {}
-
-    def element(self, z: int) -> int:
-        return self._by_element.get(z, 0)
-
-    def charge(self, charge: int) -> int:
-        return self._by_charge.get(charge, 0)
-
-    def degree_at_least(self, minimum: int) -> int:
-        return _at_least(self._by_degree, minimum)
-
-    def h_at_least(self, minimum: int) -> int:
-        return _at_least(self._by_h, minimum)
-
-    def candidates(self, query: QueryPattern) -> list[int]:
-        """Mask of the molecule atoms satisfying each query atom, in order."""
-        try:
-            return list(map(self._candidates.__getitem__, query.atom_keys))
-        except KeyError:
-            for key, atom in zip(query.atom_keys, query.atoms):
-                if key not in self._candidates:
-                    self._candidates[key] = _predicate_mask(atom, self)
-            return list(map(self._candidates.__getitem__, query.atom_keys))
-
-
-def _predicate_mask(atom: QueryAtom, atoms):
-    """The atoms that satisfy every predicate of ``atom``.
-
-    ``atoms`` is a :class:`MoleculeIndex` or a :class:`ChunkIndex`: its
-    ``all``, ``none``, ``aromatic`` and ``in_ring`` sets and the sets its
-    methods return are Python-int bitsets or NumPy boolean arrays, and
-    this function only combines them with ``&``, ``|`` and ``~``, so it
-    means the same on both.
-    """
-    mask = atoms.all
-    if atom.elements is not None:
-        inside = atoms.none
-        for z in atom.elements:
-            inside = inside | atoms.element(z)
-        mask = mask & ~inside if atom.negate_elements else inside
-    if atom.aromatic is not None:
-        mask = mask & (atoms.aromatic if atom.aromatic else ~atoms.aromatic)
-    if atom.in_ring is not None:
-        mask = mask & (atoms.in_ring if atom.in_ring else ~atoms.in_ring)
-    if atom.charge == "nonzero":
-        mask = mask & ~atoms.charge(0)
-    elif atom.charge is not None:
-        mask = mask & atoms.charge(atom.charge)
-    if atom.min_degree is not None:
-        mask = mask & atoms.degree_at_least(atom.min_degree)
-    if atom.min_h is not None:
-        mask = mask & atoms.h_at_least(atom.min_h)
-    return mask
-
-
-def _masks_by_value(values) -> dict:
-    """Map each value to the mask of the atoms that have it."""
-    masks: dict = {}
-    for m, value in enumerate(values):
-        masks[value] = masks.get(value, 0) | 1 << m
-    return masks
-
-
-def _at_least(masks_by_value: dict[int, int], minimum: int) -> int:
-    """Mask of the atoms whose value is at least ``minimum``."""
-    return sum(mask for value, mask in masks_by_value.items() if value >= minimum)
-
-
 _ATOM_FIELDS = attrgetter(
     "element", "formal_charge", "explicit_h", "implicit_h", "aromatic", "in_ring"
 )
@@ -566,22 +461,26 @@ class ChunkIndex:
 
     The one atom and bond table of a featurize chunk: the Morgan hashing
     (:func:`~molcap.fingerprints.morgan_hashes`) and the structural keys
-    (:func:`~molcap.maccs.key_answers`) both read it.  Atoms are numbered
-    chunk-wide, molecule after molecule; per atom, ``molecule``,
-    ``local`` (index within its molecule), ``elements``, ``charges``,
-    ``degree`` (heavy degree), ``hydrogens`` (total H), ``aromatic`` and
-    ``in_ring`` are arrays.  Every bond is stored in both directions,
-    sorted by (source, target): the bonds leaving atom ``i`` are
-    ``first[i]:first[i + 1]``, with neighbours ``targets``, sorted keys
-    ``edge_keys`` (source * atom count + target), ``bond_orders`` and
-    molecule-local bond indices ``bonds``, and ``bond_kinds[kind]`` marks
-    those that satisfy query bond kind ``kind``.  ``bond_words`` uint64
-    words hold one bit per bond of the chunk's largest molecule.  Per
-    basis ring, ``ring_sizes`` and ``ring_molecule``.  Candidate masks,
-    one boolean array per distinct query-atom predicate, are built on
-    first use by the :func:`_predicate_mask` that :class:`MoleculeIndex`
-    uses.  A pair of atoms is assumed to share at most one bond, as in
-    every graph :func:`~molcap.smiles.parse_smiles` returns.
+    (:func:`~molcap.maccs.key_answers`, by join and through
+    :class:`MoleculeIndex` views) all read it.  ``graphs`` are the
+    molecules it was built from; they must not change while it is in
+    use.  Atoms are numbered chunk-wide, molecule after molecule: those
+    of molecule ``k`` are ``starts[k]:starts[k + 1]``.  Per atom,
+    ``molecule``, ``local`` (index within its molecule), ``elements``,
+    ``charges``, ``degree`` (heavy degree), ``hydrogens`` (total H),
+    ``aromatic`` and ``in_ring`` are arrays.  Every bond is stored in
+    both directions, sorted by (source, target): the bonds leaving atom
+    ``i`` are ``first[i]:first[i + 1]``, with neighbours ``targets``,
+    sorted keys ``edge_keys`` (source * atom count + target),
+    ``bond_orders`` and molecule-local bond indices ``bonds``, and
+    ``bond_kinds[kind]`` marks those that satisfy query bond kind
+    ``kind``.  ``bond_words`` uint64 words hold one bit per bond of the
+    chunk's largest molecule.  Per basis ring, ``ring_sizes`` and
+    ``ring_molecule``.  Candidate masks, one boolean array per distinct
+    query-atom predicate, are built on first use by
+    :func:`_predicate_mask`.  A pair of atoms is assumed to share at
+    most one bond, as in every graph :func:`~molcap.smiles.parse_smiles`
+    returns.
     """
 
     def __init__(self, graphs: Sequence[MolecularGraph]) -> None:
@@ -599,12 +498,13 @@ class ChunkIndex:
             count=3 * n_bonds,
         ).reshape(n_bonds, 3)
         molecules = np.arange(len(graphs))
+        self.graphs = list(graphs)
         self.n_molecules = len(graphs)
         self.n_atoms = n
         self.molecule = np.repeat(molecules, atom_counts)
-        atom_start = np.cumsum(atom_counts) - atom_counts
-        self.local = np.arange(n) - atom_start[self.molecule]
-        ends = bonds[:, :2] + np.repeat(atom_start, bond_counts)[:, None]
+        self.starts = np.concatenate(([0], np.cumsum(atom_counts)))
+        self.local = np.arange(n) - self.starts[self.molecule]
+        ends = bonds[:, :2] + np.repeat(self.starts[:-1], bond_counts)[:, None]
         keys = np.concatenate((ends[:, 0] * n + ends[:, 1], ends[:, 1] * n + ends[:, 0]))
         by_key = np.argsort(keys)
         self.edge_keys = keys[by_key]
@@ -620,25 +520,11 @@ class ChunkIndex:
         self.elements = fields[:, 0]
         self.charges = fields[:, 1]
         self.hydrogens = fields[:, 2] + fields[:, 3]
-        self.all = np.ones(n, dtype=bool)
-        self.none = np.zeros(n, dtype=bool)
         self.aromatic = fields[:, 4].astype(bool)
         self.in_ring = fields[:, 5].astype(bool)
         self.ring_sizes = np.array([len(ring) for g in graphs for ring in g.rings], dtype=np.intp)
         self.ring_molecule = np.repeat(molecules, [len(g.rings) for g in graphs])
         self._candidates: dict[str, tuple[np.ndarray, int]] = {}
-
-    def element(self, z: int) -> np.ndarray:
-        return self.elements == z
-
-    def charge(self, charge: int) -> np.ndarray:
-        return self.charges == charge
-
-    def degree_at_least(self, minimum: int) -> np.ndarray:
-        return self.degree >= minimum
-
-    def h_at_least(self, minimum: int) -> np.ndarray:
-        return self.hydrogens >= minimum
 
     def candidates(self, query: QueryPattern) -> list[tuple[np.ndarray, int]]:
         """(mask, count) of the chunk atoms satisfying each query atom, in order."""
@@ -647,6 +533,75 @@ class ChunkIndex:
                 mask = _predicate_mask(atom, self)
                 self._candidates[key] = mask, int(np.count_nonzero(mask))
         return list(map(self._candidates.__getitem__, query.atom_keys))
+
+
+class MoleculeIndex:
+    """Bitset view of one molecule of a :class:`ChunkIndex`, shared by
+    every query matched on it.
+
+    Bit ``m`` of a mask stands for atom ``m`` of the molecule; masks are
+    Python ints, so a molecule may have any number of atoms.
+    ``bond_masks[kind][i]`` holds the neighbours of atom ``i`` joined by
+    a bond of that query bond kind (single, double, triple, aromatic,
+    default, any), packed from the molecule's slice of the chunk's
+    sorted bonds.  Candidate masks, the atoms satisfying each distinct
+    query-atom predicate, are the molecule's slice of
+    :meth:`ChunkIndex.candidates`, packed on first use.  ``graph`` is
+    the chunk's molecule ``row``.
+    """
+
+    def __init__(self, chunk: ChunkIndex, row: int) -> None:
+        self.chunk = chunk
+        self.graph = chunk.graphs[row]
+        start, end = chunk.starts[row], chunk.starts[row + 1]
+        self._atoms = slice(start, end)
+        n = end - start
+        edges = slice(chunk.first[start], chunk.first[end])
+        sources = np.repeat(np.arange(n), chunk.degree[self._atoms])
+        # Rows padded to whole uint64 words, each word then shifted into
+        # its place in a Python int.
+        neighbours = np.zeros((len(_BOND_KINDS), n, -(-n // 64) * 64), dtype=bool)
+        neighbours[:, sources, chunk.targets[edges] - start] = chunk.bond_kinds[:, edges]
+        words = np.packbits(neighbours, axis=-1, bitorder="little").view("<u8").astype(object)
+        masks = np.zeros(words.shape[:-1], dtype=object)
+        for word in range(words.shape[-1]):
+            masks |= words[..., word] << 64 * word
+        self.bond_masks: list[list[int]] = masks.tolist()
+        self._candidates: dict[str, int] = {}
+
+    def candidates(self, query: QueryPattern) -> list[int]:
+        """Mask of the molecule atoms satisfying each query atom, in order."""
+        try:
+            return list(map(self._candidates.__getitem__, query.atom_keys))
+        except KeyError:
+            for key, (mask, _) in zip(query.atom_keys, self.chunk.candidates(query)):
+                if key not in self._candidates:
+                    packed = np.packbits(mask[self._atoms], bitorder="little")
+                    self._candidates[key] = int.from_bytes(packed.tobytes(), "little")
+            return list(map(self._candidates.__getitem__, query.atom_keys))
+
+
+def _predicate_mask(atom: QueryAtom, chunk: ChunkIndex) -> np.ndarray:
+    """The atoms of ``chunk`` that satisfy every predicate of ``atom``."""
+    mask = np.ones(chunk.n_atoms, dtype=bool)
+    if atom.elements is not None:
+        inside = np.zeros(chunk.n_atoms, dtype=bool)
+        for z in atom.elements:
+            inside |= chunk.elements == z
+        mask = ~inside if atom.negate_elements else inside
+    if atom.aromatic is not None:
+        mask &= chunk.aromatic == atom.aromatic
+    if atom.in_ring is not None:
+        mask &= chunk.in_ring == atom.in_ring
+    if atom.charge == "nonzero":
+        mask &= chunk.charges != 0
+    elif atom.charge is not None:
+        mask &= chunk.charges == atom.charge
+    if atom.min_degree is not None:
+        mask &= chunk.degree >= atom.min_degree
+    if atom.min_h is not None:
+        mask &= chunk.hydrogens >= atom.min_h
+    return mask
 
 
 def match_subgraph(
@@ -672,8 +627,8 @@ def match_subgraph(
         max_count: Stop once this many distinct matches are found (the
             count is then a lower bound, which is all threshold tests
             need).  None means exact.
-        index: Tables of ``graph`` shared across queries; built here
-            when omitted.
+        index: The view of ``graph`` shared across queries; built here,
+            from a chunk of ``graph`` alone, when omitted.
 
     Returns:
         MatchResult with the distinct count and the first witness mapping.
@@ -683,7 +638,7 @@ def match_subgraph(
     if k == 0 or k > n or (max_count is not None and max_count <= 0):
         return MatchResult(0, None)
     if index is None:
-        index = MoleculeIndex(graph)
+        index = MoleculeIndex(ChunkIndex([graph]), 0)
     elif index.graph is not graph:
         raise ValueError("index was built for a different molecule")
     candidates = index.candidates(query)

@@ -351,14 +351,14 @@ def _chunk_corpus() -> list[str]:
 
 def _expected_row(graph, definitions) -> list[int]:
     """The key_answers row of ``graph`` from uncapped matcher calls and
-    direct counts; counted keys (pattern keys of a threshold above 1)
-    are zero."""
-    index = MoleculeIndex(graph)
+    direct counts, counted keys (pattern keys of a threshold above 1)
+    included."""
+    index = MoleculeIndex(ChunkIndex([graph]), 0)
     rings = [len(ring) for ring in graph.rings]
     row = []
     for d in definitions:
         if d.query is not None:
-            hit = d.threshold == 1 and match_subgraph(graph, d.query, index=index).count >= 1
+            hit = match_subgraph(graph, d.query, index=index).count >= d.threshold
         elif d.kind == "element-count":
             hit = sum(atom.element in d.elements for atom in graph.atoms) >= d.threshold
         elif d.kind == "ring-size":

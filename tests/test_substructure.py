@@ -13,7 +13,6 @@ import hashlib
 import itertools
 import random
 
-import numpy as np
 import pytest
 
 from molcap.errors import MalformedPatternError, UnsupportedPrimitiveError
@@ -301,7 +300,7 @@ def test_key_patterns_match_reference_on_corpus() -> None:
     keys = [d for d in load_key_definitions() if d.query is not None]
     for smiles in featurize_corpus():
         graph = parse_smiles(smiles)
-        index = MoleculeIndex(graph)
+        index = MoleculeIndex(ChunkIndex([graph]), 0)
         for d in keys:
             for cap in (None, d.threshold):
                 expected = reference_match_subgraph(graph, d.query, max_count=cap)
@@ -326,7 +325,7 @@ def test_key_pattern_results_match_recorded_digest() -> None:
     digest = hashlib.sha256()
     for smiles in featurize_corpus():
         graph = parse_smiles(smiles)
-        index = MoleculeIndex(graph)
+        index = MoleculeIndex(ChunkIndex([graph]), 0)
         for d in keys:
             for cap in (None, d.threshold):
                 result = match_subgraph(graph, d.query, max_count=cap, index=index)
@@ -339,7 +338,7 @@ def test_key_patterns_match_reference_past_atom_63() -> None:
     for smiles in WIDE_MOLECULES:
         graph = parse_smiles(smiles)
         assert len(graph.atoms) > 64
-        index = MoleculeIndex(graph)
+        index = MoleculeIndex(ChunkIndex([graph]), 0)
         beyond_one_word = 0
         for d in keys:
             expected = reference_match_subgraph(graph, d.query)
@@ -352,37 +351,23 @@ def test_key_patterns_match_reference_past_atom_63() -> None:
 
 
 def test_candidate_masks_agree_with_atom_predicates() -> None:
+    # The views of one chunk's molecules slice its boolean candidate
+    # arrays at each molecule's offset; every slice must pack to the
+    # atoms the oracle accepts.
     rng = random.Random(5)
-    queries = [d.query for d in load_key_definitions() if d.query is not None]
-    queries += [_random_query(rng) for _ in range(200)]
-    queries += [parse_query(p) for p in ("[+]", "[-2]", "[!+0]", "[D4]", "[H0]", "[!#6;!#7]")]
-    for smiles in featurize_corpus(count=30) + ["C[N+](C)(C)C.[O-2]"]:
-        graph = parse_smiles(smiles)
-        index = MoleculeIndex(graph)
-        for query in queries:
-            expected = [
-                sum(1 << m for m in range(len(graph.atoms)) if _oracle_atom_ok(graph, m, atom))
-                for atom in query.atoms
-            ]
-            assert index.candidates(query) == expected, (smiles, query)
-
-
-def test_chunk_candidate_masks_agree_with_molecule_masks() -> None:
-    # One predicate function serves both carriers: the chunk's boolean
-    # arrays, cut per molecule, are the molecule index's bitsets.
-    rng = random.Random(6)
     queries = [d.query for d in load_key_definitions() if d.query is not None]
     queries += [_random_query(rng) for _ in range(200)]
     queries += [parse_query(p) for p in ("[+]", "[-2]", "[!+0]", "[D4]", "[H0]", "[!#6;!#7]")]
     graphs = [parse_smiles(s) for s in featurize_corpus(count=30) + ["C[N+](C)(C)C.[O-2]"]]
     chunk = ChunkIndex(graphs)
-    ends = np.cumsum([len(g.atoms) for g in graphs])
-    for query in queries:
-        per_molecule = [np.split(mask, ends[:-1]) for mask, _ in chunk.candidates(query)]
-        for k, graph in enumerate(graphs):
-            expected = MoleculeIndex(graph).candidates(query)
-            got = [sum(1 << int(m) for m in np.flatnonzero(part[k])) for part in per_molecule]
-            assert got == expected, (k, query)
+    for row, graph in enumerate(graphs):
+        index = MoleculeIndex(chunk, row)
+        for query in queries:
+            expected = [
+                sum(1 << m for m in range(len(graph.atoms)) if _oracle_atom_ok(graph, m, atom))
+                for atom in query.atoms
+            ]
+            assert index.candidates(query) == expected, (row, query)
 
 
 def test_join_agrees_with_oracle_on_random_pairs() -> None:
@@ -414,12 +399,27 @@ def test_join_on_empty_and_bondless_chunks() -> None:
 
 def test_shared_index_gives_the_same_result_as_a_fresh_one() -> None:
     graph = parse_smiles("CC(C)Cc1ccc(cc1)C(C)C(=O)O")
-    index = MoleculeIndex(graph)
+    index = MoleculeIndex(ChunkIndex([graph]), 0)
     for pattern in ("c1ccccc1", "C(=O)O", "[CH3]C", "[!#6]", "cC", "N"):
         query = parse_query(pattern)
         assert match_subgraph(graph, query, index=index) == match_subgraph(graph, query)
     with pytest.raises(ValueError):
         match_subgraph(parse_smiles("CCO"), parse_query("C"), index=index)
+    # Views at non-zero offsets of one chunk, including molecules past
+    # one 64-bit word, give what the molecule alone gives.
+    keys = [d.query for d in load_key_definitions() if d.query is not None]
+    smiles = ("CCO", WIDE_MOLECULES[0], "c1ccccc1O", WIDE_MOLECULES[3], "CC(=O)[O-]")
+    graphs = [parse_smiles(s) for s in smiles]
+    chunk = ChunkIndex(graphs)
+    for row, graph in enumerate(graphs):
+        view = MoleculeIndex(chunk, row)
+        assert view.bond_masks == MoleculeIndex(ChunkIndex([graph]), 0).bond_masks, row
+        for query in keys:
+            for cap in (1, 2, 3, 4):
+                result = match_subgraph(graph, query, cap, view)
+                assert result == match_subgraph(graph, query, cap), (row, query.text, cap)
+    with pytest.raises(ValueError):
+        match_subgraph(graphs[0], parse_query("C"), index=MoleculeIndex(chunk, 1))
 
 
 # --------------------------------------------------------------------------
