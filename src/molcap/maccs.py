@@ -47,6 +47,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .elements import Z_TO_SYMBOL
 from .errors import KeyFileError, MissingKeyError, PatternParseError, QueryError
 from .smiles import MolecularGraph
 from .substructure import (
@@ -71,8 +72,8 @@ __all__ = [
 N_KEYS = 167
 
 _KINDS = ("pattern", "pattern-count", "element-count", "ring-size", "always-zero")
-# Atomic numbers run from 1 to 118.
-_ELEMENTS = 119
+# One more than the largest atomic number.
+_ELEMENTS = max(Z_TO_SYMBOL) + 1
 
 
 @dataclass(frozen=True)
@@ -189,7 +190,7 @@ def _build_definition(
             parsed = [int(z) for z in pattern_text.split(",")]
         except ValueError:
             raise PatternParseError(index, f"bad element list {pattern_text!r}") from None
-        if not parsed or any(not 1 <= z <= 118 for z in parsed):
+        if not parsed or any(z not in Z_TO_SYMBOL for z in parsed):
             raise PatternParseError(index, f"bad element list {pattern_text!r}")
         elements = frozenset(parsed)
     elif kind == "ring-size":

@@ -17,10 +17,10 @@ its sigmoid.
 
 The batch is split here, once, and nowhere else: the layer kernels are
 serial.  The caption branches run first, on the whole batch in the
-calling thread.  Then the batch is cut into contiguous slices, which the
-calling thread and a process-wide thread pool, one thread per further
-usable CPU, take in ascending order (NumPy releases the GIL inside the
-matmuls and ufuncs).  Slices are two default-model images (see
+calling thread.  Then the batch is cut into contiguous slices, each one
+task on a process-wide thread pool of one thread per usable CPU, whose
+queue hands them out in ascending order (NumPy releases the GIL inside
+the matmuls and ufuncs).  Slices are two default-model images (see
 ``_SPLIT_MIN``): larger slices hold more activations per CPU, and
 one-image slices make twice the GIL hand-offs between short NumPy
 calls.  A slice runs the convolutional trunk, stem through global
@@ -45,7 +45,6 @@ from __future__ import annotations
 import json
 import math
 import os
-from collections import deque
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple
@@ -93,8 +92,10 @@ CHECKPOINT_VERSION = 1
 # CPUs).
 _SPLIT_MIN = 1 << 17
 
-# (pid, executor); recreated in a forked child, whose copy has no threads.
-_pool: tuple[int, ThreadPoolExecutor] | None = None
+# (pid, workers, executor): one thread per usable CPU.  Recreated in a
+# forked child, whose copy has no threads, and when the usable CPU count
+# changes, so the slices in flight never outnumber the CPUs.
+_pool: tuple[int, int, ThreadPoolExecutor] | None = None
 
 
 def _workers() -> int:
@@ -104,15 +105,18 @@ def _workers() -> int:
     return os.cpu_count() or 1
 
 
-def _executor() -> ThreadPoolExecutor:
+def _executor(workers: int) -> ThreadPoolExecutor:
     # Imported on first use: a process that never splits a batch, such
     # as every command but cv, does not pay for it at start-up.
     from concurrent.futures import ThreadPoolExecutor
 
     global _pool
-    if _pool is None or _pool[0] != os.getpid():
-        _pool = (os.getpid(), ThreadPoolExecutor(_workers(), "molcap-nn"))
-    return _pool[1]
+    key = (os.getpid(), workers)
+    if _pool is None or _pool[:2] != key:
+        if _pool is not None and _pool[0] == key[0]:
+            _pool[2].shutdown(wait=False)
+        _pool = (*key, ThreadPoolExecutor(workers, "molcap-nn"))
+    return _pool[2]
 
 
 def _batch_slices(n: int, size: int) -> list[tuple[int, int]]:
@@ -127,39 +131,26 @@ def _batch_slices(n: int, size: int) -> list[tuple[int, int]]:
 def _run_slices(fn, count: int) -> None:
     """Call fn(k) for every slice k in range(count).
 
-    The calling thread and one pool worker per further CPU take slices
-    in ascending order until none is left.  Once a call raises, no
-    thread takes a further slice, and the first error is raised when
-    every thread has stopped.
+    One slice, or one CPU, runs in the calling thread.  Otherwise each
+    slice is one task on the pool, whose queue hands them out in
+    ascending order, and the caller waits for all of them.  Every slice
+    runs, and if any raise, the lowest slice's error is raised.
     """
-    workers = min(_workers(), count)
-    if workers < 2:
+    workers = _workers()
+    if count < 2 or workers < 2:
         for k in range(count):
             fn(k)
         return
-    todo = deque(range(count))
-    errors: list[BaseException] = []
-
-    def drain() -> None:
-        while not errors:
-            try:
-                k = todo.popleft()  # atomic, so each slice runs once
-            except IndexError:
-                return
-            try:
-                fn(k)
-            except BaseException as exc:  # raised again by the caller below
-                errors.append(exc)
-
-    pool = _executor()
-    futures = [pool.submit(drain) for _ in range(workers - 1)]
+    pool = _executor(workers)
+    futures = [pool.submit(fn, k) for k in range(count)]
     try:
-        drain()
+        errors = [future.exception() for future in futures]
     finally:
-        for future in futures:
-            future.result()
-    if errors:
-        raise errors[0]
+        for future in futures:  # an interrupted caller leaves no slice queued
+            future.cancel()
+    for error in errors:
+        if error is not None:
+            raise error
 
 
 @dataclass(frozen=True)
@@ -388,8 +379,8 @@ class Model:
             labels: Binary targets, one per row, for a training step.
                 Each trunk slice then back-propagates its rows' share of
                 the mean-BCE gradient as soon as its forward pass ends,
-                and the cache keeps each image's convolution gradients
-                instead of its activations.
+                and the cache keeps the labels and each image's
+                convolution gradients instead of its activations.
 
         Returns:
             (probabilities of shape (N, 1), cache).  The cache always
@@ -469,7 +460,7 @@ class Model:
 
     # -- backward ----------------------------------------------------------
 
-    def backward(self, cache: dict, labels: np.ndarray) -> tuple[float, dict]:
+    def backward(self, cache: dict) -> tuple[float, dict]:
         """Mean-BCE loss and its gradient for every parameter.
 
         The trunk slices already back-propagated in :meth:`forward`; this
@@ -479,16 +470,15 @@ class Model:
 
         Args:
             cache: Second return value of :meth:`forward` called with
-                ``labels``.  Backward consumes its per-image gradients,
-                so it runs once per forward.
-            labels: The targets given to that forward.
+                ``labels``, which it keeps.  Backward consumes its
+                per-image gradients, so it runs once per forward.
 
         Returns:
             (loss, gradient map keyed like ``params``).
 
         Raises:
-            ValueError: The cache is not that of a labelled forward, was
-                already used, or the labels differ from the forward's.
+            ValueError: The cache is not that of a labelled forward, or
+                was already used.
             NonFiniteLossError: The loss came out NaN or infinite.
         """
         if "per_image" not in cache:
@@ -496,11 +486,8 @@ class Model:
                 "backward takes the cache of forward(..., labels=...), once; "
                 "this one has no trunk gradients"
             )
-        y = np.asarray(labels, dtype=self.dtype).reshape(-1, 1)
-        if not np.array_equal(y, cache["labels"]):
-            raise ValueError("backward got other labels than the forward pass")
         cfg = self.config
-        loss, dlogits = bce_with_logits(cache["logits"], labels)
+        loss, dlogits = bce_with_logits(cache["logits"], cache["labels"])
         if not math.isfinite(loss):
             raise NonFiniteLossError(epoch=-1)
         grads: dict[str, np.ndarray] = {}
@@ -535,9 +522,9 @@ class Model:
         keys: np.ndarray | None,
         labels: np.ndarray,
     ) -> tuple[float, np.ndarray, dict]:
-        """Forward plus backward in one call: (loss, probs, grads)."""
+        """Labelled forward, then backward of its cache: (loss, probs, grads)."""
         probs, cache = self.forward(images, fingerprints, keys, labels)
-        loss, grads = self.backward(cache, labels)
+        loss, grads = self.backward(cache)
         return loss, probs, grads
 
 

@@ -25,9 +25,8 @@ class TrainState:
             :func:`adam_step`).
         first_moment: Adam m accumulator per parameter.
         second_moment: Adam v accumulator per parameter.
-        step: Completed Adam steps.
-        initial_lr: Learning rate at construction.
         current_lr: Learning rate after any plateau decays.
+        step: Completed Adam steps.
         best_val_metric: Highest validation metric seen so far.
         epochs_since_improvement: Plateau counter.
     """
@@ -35,9 +34,8 @@ class TrainState:
     parameters: dict[str, np.ndarray]
     first_moment: dict[str, np.ndarray]
     second_moment: dict[str, np.ndarray]
+    current_lr: float
     step: int = 0
-    initial_lr: float = 0.001
-    current_lr: float = 0.001
     best_val_metric: float = -math.inf
     epochs_since_improvement: int = 0
 
@@ -48,7 +46,6 @@ def init_train_state(parameters: dict[str, np.ndarray], lr: float) -> TrainState
         parameters=parameters,
         first_moment={k: np.zeros_like(v) for k, v in parameters.items()},
         second_moment={k: np.zeros_like(v) for k, v in parameters.items()},
-        initial_lr=lr,
         current_lr=lr,
     )
 
@@ -87,32 +84,29 @@ def adam_step(state: TrainState, grads: dict[str, np.ndarray]) -> TrainState:
 
 
 def reduce_lr_on_plateau(
-    state: TrainState,
-    val_metric: float,
-    patience: int = 5,
-    factor: float = 0.5,
-) -> TrainState:
-    """End-of-epoch schedule: halve the rate after a patience-long stall.
+    state: TrainState, val_metric: float, patience: int, factor: float
+) -> bool:
+    """End-of-epoch schedule: decay the rate after a patience-long stall.
 
     An epoch improves when its metric strictly exceeds the best so far.
     After ``patience`` consecutive non-improving epochs the learning
     rate is multiplied by ``factor`` and the counter restarts.
 
     Args:
-        state: Mutated in place and returned.
+        state: Mutated in place.
         val_metric: This epoch's validation metric (higher is better).
         patience: Stall length that triggers a decay.
         factor: Multiplier in (0, 1).
 
     Returns:
-        The same state with the schedule advanced.
+        Whether this epoch improved, so it is the best so far.
     """
     if val_metric > state.best_val_metric:
         state.best_val_metric = val_metric
         state.epochs_since_improvement = 0
-    else:
-        state.epochs_since_improvement += 1
-        if state.epochs_since_improvement >= patience:
-            state.current_lr *= factor
-            state.epochs_since_improvement = 0
-    return state
+        return True
+    state.epochs_since_improvement += 1
+    if state.epochs_since_improvement >= patience:
+        state.current_lr *= factor
+        state.epochs_since_improvement = 0
+    return False

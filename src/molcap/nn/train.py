@@ -3,8 +3,9 @@
 Each epoch shuffles the upsampled training indices with the run seed,
 walks them in fixed-size batches (augmenting every image draw-by-draw
 from the same generator, so runs are reproducible), and ends with one
-validation pass.  Its AUC drives the plateau learning-rate schedule and
-picks the best epoch, whose parameters and scores the result keeps.
+validation pass.  Its AUC drives the plateau learning-rate schedule,
+which also tells whether the epoch is the best so far; the result keeps
+the best epoch's parameters and scores.
 Wall-clock seconds are recorded per epoch but carry no semantic weight;
 every numeric column of the history is a pure function of (seed, data,
 config) in 64-bit mode.
@@ -238,12 +239,11 @@ def train(
         auc = auc_roc(scores.tolist(), val_labels)
         seconds = time.perf_counter() - started
         result.history.append(EpochRecord(epoch, loss, auc, state.current_lr, seconds))
-        if auc > result.best_val_auc:
+        if reduce_lr_on_plateau(state, auc, config.patience, config.lr_factor):
             result.best_val_auc = auc
             result.best_epoch = epoch
             result.best_val_scores = scores
             result.best_parameters = {k: v.copy() for k, v in model.params.items()}
-        reduce_lr_on_plateau(state, auc, config.patience, config.lr_factor)
     return result
 
 

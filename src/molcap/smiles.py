@@ -71,15 +71,6 @@ class BondOrder(IntEnum):
     AROMATIC = 4
 
 
-#: Numeric value a bond contributes to an atom's valence sum.
-_VALENCE_CONTRIBUTION = {
-    BondOrder.SINGLE: 1.0,
-    BondOrder.DOUBLE: 2.0,
-    BondOrder.TRIPLE: 3.0,
-    BondOrder.AROMATIC: 1.5,
-}
-
-
 @dataclass
 class Atom:
     """One heavy atom of a molecular graph.
@@ -609,11 +600,8 @@ def _fill_hydrogens(graph: MolecularGraph, bracket_atoms: set[int]) -> None:
     for atom in graph.atoms:
         orders = [bond.order for _, bond in graph.neighbors(atom.index)]
         n_aromatic = sum(1 for order in orders if order == BondOrder.AROMATIC)
-        plain_sum = sum(
-            int(_VALENCE_CONTRIBUTION[order])
-            for order in orders
-            if order != BondOrder.AROMATIC
-        )
+        # A single, double or triple bond adds its order to the sum.
+        plain_sum = sum(int(order) for order in orders if order != BondOrder.AROMATIC)
         valences = DEFAULT_VALENCES.get(atom.element)
         if atom.index in bracket_atoms:
             atom.implicit_h = 0

@@ -13,8 +13,9 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
-from concurrent.futures import Future
+from concurrent.futures import Future, ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -605,7 +606,7 @@ def test_head_bias_gradient_closed_form() -> None:
     images, fps, keys = small_inputs(rng, n=6)
     labels = np.array([1, 0, 1, 1, 0, 0])
     _, cache = model.forward(images, fps, keys, labels)
-    _, grads = model.backward(cache, labels)
+    _, grads = model.backward(cache)
     assert grads["head.b"][0] == pytest.approx(np.mean(0.5 - labels), rel=1e-12)
 
 
@@ -618,7 +619,7 @@ def test_saturated_correct_predictions_have_tiny_gradients() -> None:
     images, fps, keys = small_inputs(rng, n=4)
     labels = np.ones(4, dtype=int)
     _, cache = model.forward(images, fps, keys, labels)
-    _, grads = model.backward(cache, labels)
+    _, grads = model.backward(cache)
     norm = math.sqrt(sum(float((g**2).sum()) for g in grads.values()))
     assert norm < 1e-6
 
@@ -857,10 +858,10 @@ def test_forward_frees_trunk_activations() -> None:
     assert len(cache["per_image"]) == 3
     assert all(a.ndim != 4 for a in _arrays_reachable(cache))
     assert any(a.shape == (2, 16, 1, 3, 3) for a in _arrays_reachable(cache["per_image"]))
-    model.backward(cache, labels)
+    model.backward(cache)
     assert "per_image" not in cache
     with pytest.raises(ValueError, match="labels="):
-        model.backward(cache, labels)
+        model.backward(cache)
 
 
 def test_scoring_keeps_no_trunk_array() -> None:
@@ -871,15 +872,12 @@ def test_scoring_keeps_no_trunk_array() -> None:
     assert cache["logits"].shape == (5, 1)
     assert np.array_equal(probs, sigmoid(cache["logits"]))
     with pytest.raises(ValueError, match="labels="):
-        model.backward(cache, labels)
+        model.backward(cache)
 
 
-def test_backward_refuses_other_labels() -> None:
+def test_forward_refuses_wrong_label_count() -> None:
     model = Model(ModelConfig(**SMALL), seed=4)
     images, fps, keys = small_inputs(np.random.default_rng(6), n=3)
-    _, cache = model.forward(images, fps, keys, np.array([1, 0, 1]))
-    with pytest.raises(ValueError, match="other labels"):
-        model.backward(cache, np.array([0, 0, 1]))
     with pytest.raises(ShapeMismatchError):
         model.forward(images, fps, keys, np.array([1, 0]))
 
@@ -909,10 +907,13 @@ def test_default_step_memory_on_two_cpus(monkeypatch) -> None:
     # A float64 default-model step at batch 32 holds two two-image
     # slices' activations at a time, plus every image's convolution
     # gradients (about 16 MB): about 75 MB, where four-image slices
-    # peak at about 130 MB.
-    monkeypatch.setattr(model_module, "_workers", lambda: 2)
+    # peak at about 130 MB.  A step made under four CPUs comes first:
+    # its pool must not keep four slices in flight once two CPUs remain.
     model = Model(ModelConfig(), seed=4)
     inputs = _split_model_step(model, 32)
+    monkeypatch.setattr(model_module, "_workers", lambda: 4)
+    model.loss_and_gradients(*inputs)
+    monkeypatch.setattr(model_module, "_workers", lambda: 2)
     tracemalloc.start()
     try:
         model.loss_and_gradients(*inputs)
@@ -939,7 +940,7 @@ def _step_submits(monkeypatch, model: Model, batch: int) -> tuple[int, int]:
     """Pool submissions of one forward and of the backward that follows."""
     pool = CountingPool()
     monkeypatch.setattr(model_module, "_workers", lambda: 2)
-    monkeypatch.setattr(model_module, "_executor", lambda: pool)
+    monkeypatch.setattr(model_module, "_executor", lambda workers: pool)
     side = model.config.image_side
     rng = np.random.default_rng(22)
     labels = np.arange(batch) % 2
@@ -950,7 +951,7 @@ def _step_submits(monkeypatch, model: Model, batch: int) -> tuple[int, int]:
         labels,
     )
     forward = pool.submitted
-    model.backward(cache, labels)
+    model.backward(cache)
     return forward, pool.submitted - forward
 
 
@@ -960,11 +961,12 @@ def test_model_split_threshold(monkeypatch) -> None:
     desk = Model(ModelConfig(blocks_per_stage=1, filters=4, image_side=22), seed=3)
     assert _step_submits(monkeypatch, desk, 32) == (0, 0)
     # A 60 px, 16-filter model reaches it at batch 3 (172,800 elements;
-    # batch 2 has 115,200) and then splits; each slice back-propagates
-    # inside forward, so backward hands nothing to the pool.
+    # batch 2 has 115,200) and then splits into two slices, one task
+    # each; each slice back-propagates inside forward, so backward hands
+    # nothing to the pool.
     model = Model(ModelConfig(blocks_per_stage=1, filters=16, image_side=60), seed=3)
     assert _step_submits(monkeypatch, model, 2) == (0, 0)
-    assert _step_submits(monkeypatch, model, 3) == (1, 0)
+    assert _step_submits(monkeypatch, model, 3) == (2, 0)
     # A batch of one row is never handed off, whatever its size.
     monkeypatch.setattr(model_module, "_SPLIT_MIN", 1)
     assert _step_submits(monkeypatch, model, 1) == (0, 0)
@@ -997,6 +999,48 @@ def test_failing_slice_reaches_caller(monkeypatch) -> None:
     monkeypatch.setattr(model_module, "conv2d_backward", real_backward)
     assert model_module._batch_slices(4, 4 * 22 * 22 * 4) == [(k, k + 1) for k in range(4)]
     assert _model_bytes(model, 4) == _model_bytes(Model(config, seed=1), 4)
+
+
+def test_lowest_failing_slice_reaches_caller(monkeypatch) -> None:
+    # Four one-image desk slices on a fresh two-thread pool.  Slices 1
+    # and 3 raise in their stem backward, slice 1 only once slice 3 has:
+    # every slice still runs, and the caller gets slice 1's error.
+    pool = ThreadPoolExecutor(2, "test-slices")
+    monkeypatch.setattr(model_module, "_workers", lambda: 2)
+    monkeypatch.setattr(model_module, "_executor", lambda *_: pool)
+    monkeypatch.setattr(model_module, "_SPLIT_MIN", 1)
+    real_backward = model_module.conv2d_backward
+    ran = []
+    slice3_raised = threading.Event()
+
+    def backward(dy, cache):
+        if cache[1][3] != 1:  # not the stem
+            return real_backward(dy, cache)
+        k = int(cache[0][0, 1, 1, 0] * 8) - 1  # image k is filled with (k + 1) / 8
+        ran.append(k)
+        if k == 1:
+            if not slice3_raised.wait(timeout=30):
+                raise RuntimeError("slice 3 never raised")
+            raise RuntimeError("slice 1 failed")
+        if k == 3:
+            try:
+                raise RuntimeError("slice 3 failed")
+            finally:
+                slice3_raised.set()
+        return real_backward(dy, cache)
+
+    model = Model(ModelConfig(blocks_per_stage=1, filters=4, image_side=22), seed=1)
+    rng = np.random.default_rng(2)
+    images = np.arange(1, 5)[:, None, None] / 8 * np.ones((4, 22, 22))
+    fps = rng.integers(0, 2, (4, model.config.fp_width))
+    keys = rng.integers(0, 2, (4, model.config.keys_width))
+    monkeypatch.setattr(model_module, "conv2d_backward", backward)
+    try:
+        with pytest.raises(RuntimeError, match="slice 1 failed"):
+            model.loss_and_gradients(images, fps, keys, np.arange(4) % 2)
+    finally:
+        pool.shutdown()
+    assert sorted(ran) == [0, 1, 2, 3]
 
 
 def test_initialization_seeded_and_bounded() -> None:
@@ -1103,22 +1147,26 @@ def test_moment_shapes_mirror_parameters() -> None:
     for name, value in params.items():
         assert state.first_moment[name].shape == value.shape
         assert state.second_moment[name].shape == value.shape
-    assert state.current_lr == state.initial_lr == 0.1
+    assert state.current_lr == 0.1
 
 
 def test_plateau_five_stalls_halve() -> None:
     state = init_train_state({"w": np.zeros(1)}, lr=0.001)
-    reduce_lr_on_plateau(state, 0.8)
+    assert reduce_lr_on_plateau(state, 0.8, patience=5, factor=0.5)
     for _ in range(5):
-        reduce_lr_on_plateau(state, 0.8)  # equal is not an improvement
+        # Equal is not an improvement.
+        assert not reduce_lr_on_plateau(state, 0.8, patience=5, factor=0.5)
     assert state.current_lr == pytest.approx(0.0005)
     assert state.epochs_since_improvement == 0
 
 
 def test_plateau_improvement_resets_counter() -> None:
     state = init_train_state({"w": np.zeros(1)}, lr=0.001)
-    for metric in (0.7, 0.6, 0.6, 0.6, 0.9):
-        reduce_lr_on_plateau(state, metric)
+    improved = [
+        reduce_lr_on_plateau(state, metric, patience=5, factor=0.5)
+        for metric in (0.7, 0.6, 0.6, 0.6, 0.9)
+    ]
+    assert improved == [True, False, False, False, True]
     assert state.current_lr == 0.001
     assert state.epochs_since_improvement == 0
     assert state.best_val_metric == 0.9
@@ -1126,9 +1174,9 @@ def test_plateau_improvement_resets_counter() -> None:
 
 def test_plateau_two_halvings_after_ten_stalls() -> None:
     state = init_train_state({"w": np.zeros(1)}, lr=0.001)
-    reduce_lr_on_plateau(state, 0.8)
+    reduce_lr_on_plateau(state, 0.8, patience=5, factor=0.5)
     for _ in range(10):
-        reduce_lr_on_plateau(state, 0.5)
+        reduce_lr_on_plateau(state, 0.5, patience=5, factor=0.5)
     assert state.current_lr == pytest.approx(0.00025)
 
 
