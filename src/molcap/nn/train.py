@@ -17,7 +17,6 @@ sees it.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -98,10 +97,14 @@ class TrainResult:
     state: TrainState
     history: list[EpochRecord]
     best_parameters: dict[str, np.ndarray] = field(default_factory=dict)
-    best_val_auc: float = -math.inf
     best_epoch: int = 0
     best_val_scores: np.ndarray = field(default_factory=lambda: np.zeros(0))
     train_pool: tuple[int, ...] = field(default=())
+
+    @property
+    def best_val_auc(self) -> float:
+        """The best epoch's validation AUC, as the schedule keeps it."""
+        return self.state.best_val_metric
 
 
 def _batch_inputs(
@@ -240,7 +243,6 @@ def train(
         seconds = time.perf_counter() - started
         result.history.append(EpochRecord(epoch, loss, auc, state.current_lr, seconds))
         if reduce_lr_on_plateau(state, auc, config.patience, config.lr_factor):
-            result.best_val_auc = auc
             result.best_epoch = epoch
             result.best_val_scores = scores
             result.best_parameters = {k: v.copy() for k, v in model.params.items()}
