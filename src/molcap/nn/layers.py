@@ -151,14 +151,15 @@ def conv2d_forward(
 
 
 def conv2d_backward(
-    dy: np.ndarray, cache: tuple
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    dy: np.ndarray, cache: tuple, need_dx: bool = True
+) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
     """Gradients of conv2d_forward: returns (dx, dw, db).
 
     dw (N, F, C, kh, kw) and db (N, F) are each image's own gradients,
     summed over that image's rows only; a caller sums them over the
     batch.  Image i's dw[i] and db[i] are therefore the same bytes
-    in any batch that holds it.
+    in any batch that holds it.  Without ``need_dx`` dx is None and
+    costs nothing; dw and db are the same bytes either way.
     """
     padded, x_shape, padded_shape, w, stride, (oh, ow), (pbh, pbw) = cache
     n, h, width, c = x_shape
@@ -168,16 +169,17 @@ def conv2d_backward(
     dw = np.empty((n, *w.shape), dtype=dy.dtype)
     rows = np.empty((n, oh, f, c), dtype=np.result_type(dy, padded))  # per-row dW
     one_tap = kh == kw == stride == 1  # one tap covers the unpadded input
-    if one_tap:
+    dx = None
+    if one_tap and need_dx:
         dx = np.matmul(dy, taps[0, 0])
-    else:
+    elif need_dx:
         dpadded = np.zeros(padded_shape, dtype=dy.dtype)
         part = np.empty((n, oh, ow, c), dtype=dy.dtype)
         dx = dpadded[:, pbh : pbh + h, pbw : pbw + width]
     for i, j in product(range(kh), range(kw)):
         np.matmul(dy_t, _tap(padded, i, j, stride, oh, ow), out=rows)
         dw[..., i, j] = rows.sum(axis=1)
-        if not one_tap:
+        if need_dx and not one_tap:
             window = _tap(dpadded, i, j, stride, oh, ow)
             window += np.matmul(dy, taps[i, j], out=part)
     return dx, dw, dy.sum(axis=(1, 2))

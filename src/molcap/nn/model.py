@@ -17,27 +17,35 @@ its sigmoid.
 
 The batch is split here, once, and nowhere else: the layer kernels are
 serial.  The caption branches run first, on the whole batch in the
-calling thread.  Then the batch is cut into contiguous slices, each one
-task on a process-wide thread pool of one thread per usable CPU, whose
-queue hands them out in ascending order (NumPy releases the GIL inside
-the matmuls and ufuncs).  Slices are two default-model images (see
-``_SPLIT_MIN``): larger slices hold more activations per CPU, and
-one-image slices make twice the GIL hand-offs between short NumPy
-calls.  A slice runs the convolutional trunk, stem through global
-average pooling, and the head on its own rows.  In a training step,
-given the labels, it then back-propagates its rows' logit gradients
-through the trunk at once, freeing each unit's forward cache as it
-goes, and keeps only each image's dW and db of each convolution.  When scoring, it keeps no unit's
-cache past that unit.  So a step holds the activations of at most one
-slice per CPU, whatever the batch size.  Every image's activations, and
-every image's own dW and db, depend on that image alone, and every dense
-layer multiplies one row at a time, so they come out the same for any
-slicing.  No slice waits for another: ``backward`` runs the head and the
-caption branches on the whole batch, then sums each convolution's
-per-image dW and db over the batch, in image order, so float64 results
-are byte for byte the same for any slicing and any number of CPUs.  A
-batch whose stem output has fewer than 2**17 elements, such as the desk
-model's at batch 32, runs as one slice in the calling thread.
+calling process.  Then the batch is cut into contiguous shares, one per
+usable CPU, once each holds enough work (see ``_SHARE_MIN``).  The
+calling process computes share 0 and worker processes, one per further
+CPU, compute the others: processes, not threads, because a step makes
+thousands of short NumPy calls and two threads would hand the GIL back
+and forth at every one.  A share runs in contiguous slices of about two
+default-model images, one after another, so each process holds one
+slice's activations at a time (see ``_SPLIT_MIN``).  A slice runs the
+convolutional trunk, stem through global average pooling, and the head
+on its own rows.  In a training step, given the labels, it then
+back-propagates its rows' logit gradients through the trunk at once,
+freeing each unit's forward cache as it goes, and keeps only each
+image's dW and db of each convolution.  When scoring, it keeps no
+unit's cache past that unit.  Every image's activations, and every
+image's own dW and db, depend on that image alone, and every dense layer
+multiplies one row at a time, so they come out the same for any cut.
+No share waits for another: ``backward`` runs the head and the caption
+branches on the whole batch, then sums each convolution's per-image dW
+and db over the batch, in image order, in the calling process, so
+float64 results are byte for byte the same for any slicing and any
+number of CPUs.
+
+Workers start on the first split batch, with the platform's default
+start method; they are daemons, ignore Ctrl-C (the calling process
+handles it) and exit when their pipe closes.  Under spawn or forkserver
+a script that trains must guard its entry point with
+``if __name__ == "__main__":``.  A worker runs the layer functions this
+module held when it started: patching one afterwards reaches the calling
+process only.
 """
 
 from __future__ import annotations
@@ -45,9 +53,10 @@ from __future__ import annotations
 import json
 import math
 import os
+import threading
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -73,29 +82,29 @@ from .layers import (
     sigmoid,
 )
 
-if TYPE_CHECKING:
-    from concurrent.futures import ThreadPoolExecutor
-
 __all__ = ["ModelConfig", "Model", "save_checkpoint", "load_checkpoint"]
 
 CHECKPOINT_VERSION = 1
 
-# Below this many elements in the stem's output a batch runs as one
-# slice in the calling thread: handing slices to the pool would cost
-# more than the split saves.  A split batch is cut into slices of about
-# this size, several per worker, which the workers take in turn: a CPU
-# that the host stalls holds up one slice instead of half the batch.
-# One default-model image is 57,600, so its slices are two images.  A
-# step holds one slice's activations per CPU, so larger slices cost
-# memory; one-image slices cost time, twice the short NumPy calls and
-# GIL hand-offs (benchmark train-default round about 7% slower on two
-# CPUs).
+# A share runs in slices of about this many stem-output elements, one
+# after another, so a process holds one slice's activations at a time.
+# One default-model image is 57,600, so its slices are two images:
+# larger slices hold more activations per process, and smaller ones
+# make more short NumPy calls per image.
 _SPLIT_MIN = 1 << 17
 
-# (pid, workers, executor): one thread per usable CPU.  Recreated in a
-# forked child, whose copy has no threads, and when the usable CPU count
-# changes, so the slices in flight never outnumber the CPUs.
-_pool: tuple[int, int, ThreadPoolExecutor] | None = None
+# A batch is cut into shares only when each holds at least this many
+# stem-output elements; a smaller batch runs in the calling process.
+# Float64 desk-model training steps (1 block, 4 filters, 22 px: 1,936
+# elements per image) on a 2-vCPU Xeon VM, median ms of 150 calls,
+# in the calling process against in two shares, taken in turn:
+#   batch  4 ( 3,872 per share):  7.9 against 10.4
+#   batch  6 ( 5,808 per share):  9.9 against  7.9
+#   batch  8 ( 7,744 per share): 12.4 against  9.6
+#   batch 16 (15,488 per share): 16.0 against 13.0
+#   batch 32 (30,976 per share): 33.3 against 21.8
+# Scoring the same batches gains from batch 6 on as well.
+_SHARE_MIN = 1 << 12
 
 
 def _workers() -> int:
@@ -103,20 +112,6 @@ def _workers() -> int:
     if hasattr(os, "sched_getaffinity"):  # not on macOS or Windows
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
-
-
-def _executor(workers: int) -> ThreadPoolExecutor:
-    # Imported on first use: a process that never splits a batch, such
-    # as every command but cv, does not pay for it at start-up.
-    from concurrent.futures import ThreadPoolExecutor
-
-    global _pool
-    key = (os.getpid(), workers)
-    if _pool is None or _pool[:2] != key:
-        if _pool is not None and _pool[0] == key[0]:
-            _pool[2].shutdown(wait=False)
-        _pool = (*key, ThreadPoolExecutor(workers, "molcap-nn"))
-    return _pool[2]
 
 
 def _batch_slices(n: int, size: int) -> list[tuple[int, int]]:
@@ -128,29 +123,135 @@ def _batch_slices(n: int, size: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + step, n)) for lo in range(0, n, step)]
 
 
-def _run_slices(fn, count: int) -> None:
-    """Call fn(k) for every slice k in range(count).
+def _shares(n: int, size: int, workers: int) -> list[tuple[int, int]]:
+    """Contiguous (lo, hi) row ranges, one per process, covering a batch
+    of n rows whose stem output has ``size`` elements.
 
-    One slice, or one CPU, runs in the calling thread.  Otherwise each
-    slice is one task on the pool, whose queue hands them out in
-    ascending order, and the caller waits for all of them.  Every slice
-    runs, and if any raise, the lowest slice's error is raised.
+    At most one per worker and one per row, and each holds at least
+    ``_SHARE_MIN`` elements.  Share 0, the calling process's, is never
+    the larger: that process also sends, receives and sums.
     """
-    workers = _workers()
-    if count < 2 or workers < 2:
-        for k in range(count):
-            fn(k)
-        return
-    pool = _executor(workers)
-    futures = [pool.submit(fn, k) for k in range(count)]
+    count = max(1, min(workers, n, size // _SHARE_MIN))
+    return [(n * k // count, n * (k + 1) // count) for k in range(count)]
+
+
+class _Workers:
+    """Worker processes of one process, one pipe to each."""
+
+    def __init__(self, key: tuple[int, int]) -> None:
+        # Imported on first use: a process that never splits a batch, such
+        # as every command but cv, does not pay for it at start-up.
+        import multiprocessing
+
+        self.context = multiprocessing.get_context()
+        self.key = key
+        self.processes, self.pipes = [], []
+
+    def grow(self, count: int) -> None:
+        """Start workers until there are ``count``."""
+        while len(self.processes) < count:
+            ours, theirs = self.context.Pipe()
+            process = self.context.Process(
+                target=_serve, args=(theirs,), name="molcap-nn", daemon=True
+            )
+            process.start()
+            theirs.close()  # so that the worker's exit reads as EOF here
+            self.processes.append(process)
+            self.pipes.append(ours)
+
+    def _lost(self, k: int) -> RuntimeError:
+        process = self.processes[k]
+        process.join(5)
+        return RuntimeError(
+            f"model worker process {process.pid} exited with code {process.exitcode}"
+        )
+
+    def send(self, k: int, message: tuple) -> None:
+        try:
+            self.pipes[k].send(message)
+        except OSError:  # BrokenPipeError, ConnectionResetError
+            raise self._lost(k) from None
+
+    def receive(self, k: int):
+        try:
+            return self.pipes[k].recv()
+        except (EOFError, OSError):
+            raise self._lost(k) from None
+
+    def close(self) -> None:
+        for pipe in self.pipes:
+            pipe.close()
+        if self.key[0] == os.getpid():  # a forked child must not stop its parent's workers
+            for process in self.processes:
+                process.terminate()
+                process.join()
+
+
+# The worker processes of the process whose pid the key holds: at most
+# one fewer than the CPU count the key holds, started as batches need
+# them.  Made again in a forked child, which never uses its parent's
+# workers, when the usable CPU count changes, and after an exchange that
+# broke off.  The lock keeps one exchange at a time on the pipes.
+_pool: _Workers | None = None
+_pool_lock = threading.Lock()
+
+
+def _discard_pool() -> None:
+    global _pool
+    if _pool is not None:
+        _pool.close()
+    _pool = None
+
+
+def _run_shares(model: Model, shares: list[tuple], workers: int) -> list[tuple]:
+    """model._share(*share) for every share, in order.
+
+    Share 0 runs in the calling process once the others have gone to
+    the workers.  If any share raises, the lowest one's error is raised.
+    If the exchange itself breaks off (share 0 raised, the caller was
+    interrupted or a worker died), the workers are discarded and the
+    next split batch starts new ones.
+    """
+    if len(shares) == 1:
+        return [model._share(*shares[0])]
+    global _pool
+    with _pool_lock:
+        key = (os.getpid(), workers)
+        if _pool is None or _pool.key != key:
+            _discard_pool()
+            _pool = _Workers(key)
+        try:
+            _pool.grow(len(shares) - 1)
+            for k, share in enumerate(shares[1:]):
+                _pool.send(k, (model, *share))
+            replies = [(True, model._share(*shares[0]))]
+            replies += [_pool.receive(k) for k in range(len(shares) - 1)]
+        except BaseException:
+            _discard_pool()
+            raise
+    for ok, value in replies:
+        if not ok:
+            raise value
+    return [value for _, value in replies]
+
+
+def _serve(pipe) -> None:
+    """A worker process: answer each share its pipe brings, until EOF."""
+    import signal
+    from multiprocessing.pool import ExceptionWithTraceback
+
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is the calling process's
     try:
-        errors = [future.exception() for future in futures]
-    finally:
-        for future in futures:  # an interrupted caller leaves no slice queued
-            future.cancel()
-    for error in errors:
-        if error is not None:
-            raise error
+        while True:
+            model, *share = pipe.recv()
+            try:
+                reply = True, model._share(*share)
+            except Exception as error:
+                # Unpickled, the error's cause is the worker's traceback.
+                reply = False, ExceptionWithTraceback(error, error.__traceback__)
+            pipe.send(reply)
+    except (EOFError, OSError):  # the calling process closed its end or exited
+        pass
 
 
 @dataclass(frozen=True)
@@ -313,12 +414,16 @@ class Model:
         return out, cache
 
     @staticmethod
-    def _conv_backward(name: str, dy, conv_cache: tuple, grads: dict) -> np.ndarray:
-        dx, grads[f"{name}.w"], grads[f"{name}.b"] = conv2d_backward(dy, conv_cache)
+    def _conv_backward(name: str, dy, conv_cache: tuple, grads: dict, need_dx: bool = True):
+        dx, grads[f"{name}.w"], grads[f"{name}.b"] = conv2d_backward(
+            dy, conv_cache, need_dx=need_dx
+        )
         return dx
 
     @classmethod
-    def _unit_backward(cls, unit: _Unit, dy, cache: dict, grads: dict) -> np.ndarray:
+    def _unit_backward(cls, unit: _Unit, dy, cache: dict, grads: dict, need_dx: bool = True):
+        """The unit's parameter gradients into ``grads``; returns its input
+        gradient, or None without ``need_dx`` (a unit of plain chains)."""
         # dx adds the residual's, each branch's and the pool's gradient,
         # in that order, each as soon as it is known.
         dx = None
@@ -327,8 +432,11 @@ class Model:
             dy = cls._conv_backward(f"{unit.name}.proj", dx, cache["proj"], grads)
         parts = concat_backward(dy, cache["widths"]) if "widths" in cache else [dy]
         for part, branch, steps in zip(parts, unit.branches, cache["branches"]):
-            for (name, *_), (conv_cache, mask) in zip(reversed(branch), reversed(steps)):
-                part = cls._conv_backward(name, relu_backward(part, mask), conv_cache, grads)
+            for depth, (name, *_) in reversed(list(enumerate(branch))):
+                conv_cache, mask = steps[depth]
+                part = cls._conv_backward(
+                    name, relu_backward(part, mask), conv_cache, grads, need_dx or depth > 0
+                )
             if dx is None:
                 dx = part
             else:
@@ -353,13 +461,54 @@ class Model:
         return features, (caches, gap_cache)
 
     def _trunk_backward(self, dfeatures: np.ndarray, cache: tuple) -> dict:
-        """Per-image dW and db of every convolution, in backward order."""
+        """Per-image dW and db of every convolution, in backward order.
+
+        The stem's input is the image, so its gradient is not computed.
+        """
         caches, gap_cache = cache
         grads: dict[str, np.ndarray] = {}
         dx = global_avg_pool_backward(dfeatures, gap_cache)
         for unit in reversed(self._plan):
-            dx = self._unit_backward(unit, dx, caches.pop(), grads)
+            dx = self._unit_backward(unit, dx, caches.pop(), grads, need_dx=bool(caches))
         return grads
+
+    def _share(
+        self,
+        x: np.ndarray,
+        captions: np.ndarray,
+        labels: np.ndarray | None,
+        n: int,
+        slices: list[tuple[int, int]],
+    ) -> tuple[np.ndarray, np.ndarray, list]:
+        """Trunk and head of one share of a batch, slice after slice.
+
+        Args:
+            x: The share's images, (rows, side, side, 1).
+            captions: The share's rows of the caption columns of the
+                head input.
+            labels: The share's targets, (rows, 1), in a training step;
+                None when scoring.
+            n: Rows in the whole batch, which the mean BCE divides by.
+            slices: Contiguous (lo, hi) row ranges covering the share.
+
+        Returns:
+            (trunk features, logits, and per slice each image's
+            convolution gradients; no gradients when scoring).
+        """
+        head_w, head_b = self.params["head.w"], self.params["head.b"]
+        width = self._trunk_width
+        fused = np.empty((len(x), len(head_w)), dtype=self.dtype)
+        fused[:, width:] = captions
+        logits = np.empty((len(x), 1), dtype=self.dtype)
+        per_image = []
+        for lo, hi in slices:
+            features, trunk = self._trunk_forward(x[lo:hi], keep=labels is not None)
+            fused[lo:hi, :width] = features
+            logits[lo:hi], _ = dense_forward(fused[lo:hi], head_w, head_b)
+            if labels is not None:
+                dlogits = bce_gradient(logits[lo:hi], labels[lo:hi], n)
+                per_image.append(self._trunk_backward(dlogits @ head_w[:width].T, trunk))
+        return fused[:, :width], logits, per_image
 
     def forward(
         self,
@@ -377,7 +526,7 @@ class Model:
             keys: (N, keys_width) bit array; ignored when the key branch
                 is disabled.
             labels: Binary targets, one per row, for a training step.
-                Each trunk slice then back-propagates its rows' share of
+                Each trunk slice then back-propagates its rows' part of
                 the mean-BCE gradient as soon as its forward pass ends,
                 and the cache keeps the labels and each image's
                 convolution gradients instead of its activations.
@@ -402,7 +551,7 @@ class Model:
             y = np.asarray(labels, dtype=self.dtype).reshape(-1, 1)
             if len(y) != n:
                 raise ShapeMismatchError((n,), np.shape(labels))
-        head_w, head_b = self.params["head.w"], self.params["head.b"]
+        head_w = self.params["head.w"]
         # Head input rows: trunk features, then the enabled caption scalars.
         width = self._trunk_width
         fused = np.empty((n, len(head_w)), dtype=self.dtype)
@@ -423,20 +572,27 @@ class Model:
             )
             cache["keys"] = (k0, k_mask, k1)
 
-        slices = _batch_slices(n, n * cfg.image_side**2 * cfg.filters)
+        image_size = cfg.image_side**2 * cfg.filters
+        workers = _workers()
+        shares = _shares(n, n * image_size, workers)
+        requests = [
+            (
+                x[lo:hi],
+                fused[lo:hi, width:],
+                None if labels is None else y[lo:hi],
+                n,
+                _batch_slices(hi - lo, (hi - lo) * image_size),
+            )
+            for lo, hi in shares
+        ]
         logits = np.empty((n, 1), dtype=self.dtype)
-        per_image: list = [None] * len(slices)
-
-        def run(k: int) -> None:
-            lo, hi = slices[k]
-            features, trunk = self._trunk_forward(x[lo:hi], keep=labels is not None)
+        per_image: list = []
+        for (lo, hi), (features, share_logits, grads) in zip(
+            shares, _run_shares(self, requests, workers)
+        ):
             fused[lo:hi, :width] = features
-            logits[lo:hi], _ = dense_forward(fused[lo:hi], head_w, head_b)
-            if labels is not None:
-                dlogits = bce_gradient(logits[lo:hi], y[lo:hi], n)
-                per_image[k] = self._trunk_backward(dlogits @ head_w[:width].T, trunk)
-
-        _run_slices(run, len(slices))
+            logits[lo:hi] = share_logits
+            per_image += grads
         if labels is None:
             return sigmoid(logits), {"logits": logits}
         cache.update(logits=logits, head=(fused, head_w), labels=y, per_image=per_image)

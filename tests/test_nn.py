@@ -7,15 +7,17 @@ checked against an independently coded scalar recurrence.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import importlib
 import math
+import multiprocessing
 import os
+import signal
 import subprocess
 import sys
-import threading
+import time
 import tracemalloc
-from concurrent.futures import Future, ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -179,6 +181,29 @@ def test_conv2d_backward_gradients_per_image(x_shape, w_shape, stride) -> None:
         assert dw_i[0].tobytes() == dw[i].tobytes()
         assert db_i[0].tobytes() == db[i].tobytes()
     assert dx.tobytes() == tap_sum_dx(dy, w, x.shape, stride).tobytes()
+
+
+@pytest.mark.parametrize(
+    "x_shape, w_shape, stride",
+    [
+        ((3, 7, 7, 1), (4, 1, 3, 3), 1),  # a stem: one input channel
+        ((3, 8, 8, 2), (3, 2, 3, 3), 2),
+        ((3, 6, 5, 4), (3, 4, 1, 1), 1),
+    ],
+)
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_conv2d_backward_without_dx_keeps_dw_db_bytes(x_shape, w_shape, stride, dtype) -> None:
+    rng = np.random.default_rng(32)
+    x = rng.normal(size=x_shape).astype(dtype)
+    w = rng.normal(size=w_shape).astype(dtype)
+    b = rng.normal(size=w_shape[0]).astype(dtype)
+    y, cache = layers.conv2d_forward(x, w, b, stride)
+    dy = rng.normal(size=y.shape).astype(dtype)
+    _, dw, db = layers.conv2d_backward(dy, cache)
+    dx, dw_alone, db_alone = layers.conv2d_backward(dy, cache, need_dx=False)
+    assert dx is None
+    assert dw_alone.tobytes() == dw.tobytes()
+    assert db_alone.tobytes() == db.tobytes()
 
 
 def naive_same_conv(x, w, b, stride) -> np.ndarray:
@@ -882,38 +907,49 @@ def test_forward_refuses_wrong_label_count() -> None:
         model.forward(images, fps, keys, np.array([1, 0]))
 
 
-def test_step_memory_follows_slices_in_flight(monkeypatch) -> None:
-    # Two-image slices on two workers: at batch 8 two of four slices are
-    # in flight at once, and at batch 32 still only two of sixteen, so a
-    # step holds about the same activations (each image's gradients aside).
-    # Keeping the whole batch's activations until backward reads 3.5x.
-    monkeypatch.setattr(model_module, "_workers", lambda: 2)
+def _share_peak(model: Model, rows: int, batch: int = 32) -> int:
+    """tracemalloc peak of one process's share of a training step: the
+    trunk and head of ``rows`` images of a batch of ``batch``, in slices."""
+    side = model.config.image_side
+    rng = np.random.default_rng(5)
+    x = rng.random((rows, side, side, 1))
+    captions = rng.random((rows, len(model.params["head.w"]) - model._trunk_width))
+    labels = (np.arange(rows) % 2).astype(float).reshape(-1, 1)
+    slices = model_module._batch_slices(rows, rows * side * side * model.config.filters)
+    tracemalloc.start()
+    try:
+        model._share(x, captions, labels, batch, slices)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_step_memory_follows_slices_in_flight() -> None:
+    # Each process runs its share in two-image slices, one after another.
+    # A share of 16 images (batch 32 on two CPUs) then holds about the
+    # activations of a share of 4 (batch 8), each image's gradients aside:
+    # 1.2x here.  Running each share as one slice reads 4.0x.
     model = Model(ModelConfig(blocks_per_stage=1, filters=16, image_side=60), seed=4)
-
-    def peak(batch: int) -> int:
-        inputs = _split_model_step(model, batch)
-        tracemalloc.start()
-        try:
-            model.loss_and_gradients(*inputs)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
-    assert model_module._batch_slices(32, 32 * 60 * 60 * 16)[-1] == (30, 32)
-    assert peak(32) <= 1.5 * peak(8)
+    assert model_module._batch_slices(16, 16 * 60 * 60 * 16)[-1] == (14, 16)
+    assert _share_peak(model, 16) <= 1.5 * _share_peak(model, 4)
 
 
 def test_default_step_memory_on_two_cpus(monkeypatch) -> None:
-    # A float64 default-model step at batch 32 holds two two-image
-    # slices' activations at a time, plus every image's convolution
-    # gradients (about 16 MB): about 75 MB, where four-image slices
-    # peak at about 130 MB.  A step made under four CPUs comes first:
-    # its pool must not keep four slices in flight once two CPUs remain.
+    # A float64 default-model step at batch 32 on two CPUs: the calling
+    # process runs share 0 (16 images) one two-image slice at a time and
+    # gathers every image's convolution gradients (about 16 MB), about
+    # 40 MB; a worker's share of 16 images peaks at about 40 MB too,
+    # where four-image slices peak at about 70 MB and one slice at 255.
+    # A step made under four CPUs comes first: its three workers must
+    # give way to one once two CPUs remain.
     model = Model(ModelConfig(), seed=4)
     inputs = _split_model_step(model, 32)
     monkeypatch.setattr(model_module, "_workers", lambda: 4)
     model.loss_and_gradients(*inputs)
+    assert len(model_module._pool.processes) == 3
     monkeypatch.setattr(model_module, "_workers", lambda: 2)
+    model.loss_and_gradients(*inputs)  # the pool starts outside the trace
+    assert len(model_module._pool.processes) == 1
     tracemalloc.start()
     try:
         model.loss_and_gradients(*inputs)
@@ -921,126 +957,199 @@ def test_default_step_memory_on_two_cpus(monkeypatch) -> None:
     finally:
         tracemalloc.stop()
     assert peak <= 100e6
+    assert _share_peak(model, 16) <= 50e6
 
 
-class CountingPool:
-    """Stands in for the thread pool: counts each submitted call and runs it inline."""
-
-    def __init__(self) -> None:
-        self.submitted = 0
-
-    def submit(self, fn, *args) -> Future:
-        self.submitted += 1
-        future = Future()
-        future.set_result(fn(*args))
-        return future
-
-
-def _step_submits(monkeypatch, model: Model, batch: int) -> tuple[int, int]:
-    """Pool submissions of one forward and of the backward that follows."""
-    pool = CountingPool()
-    monkeypatch.setattr(model_module, "_workers", lambda: 2)
-    monkeypatch.setattr(model_module, "_executor", lambda workers: pool)
-    side = model.config.image_side
-    rng = np.random.default_rng(22)
-    labels = np.arange(batch) % 2
-    _, cache = model.forward(
-        rng.random((batch, side, side)),
-        rng.integers(0, 2, (batch, model.config.fp_width)),
-        rng.integers(0, 2, (batch, model.config.keys_width)),
-        labels,
-    )
-    forward = pool.submitted
-    model.backward(cache)
-    return forward, pool.submitted - forward
+def test_model_split_threshold() -> None:
+    # The desk model's batch of 32 (1,936 stem-output elements an image)
+    # runs in two shares on two CPUs, and the default model's too.
+    desk = 22 * 22 * 4
+    assert model_module._shares(32, 32 * desk, 2) == [(0, 16), (16, 32)]
+    assert model_module._shares(32, 32 * 60 * 60 * 16, 2) == [(0, 16), (16, 32)]
+    # Share 0, the calling process's, is never the larger.
+    assert model_module._shares(7, 7 * desk, 2) == [(0, 3), (3, 7)]
+    # A share needs at least _SHARE_MIN elements, and one row; otherwise
+    # the batch runs in the calling process.
+    assert 4 * desk < 2 * model_module._SHARE_MIN <= 5 * desk
+    assert model_module._shares(4, 4 * desk, 2) == [(0, 4)]
+    assert model_module._shares(5, 5 * desk, 2) == [(0, 2), (2, 5)]
+    assert model_module._shares(1, 60 * 60 * 16, 2) == [(0, 1)]
+    assert model_module._shares(32, 32 * desk, 1) == [(0, 32)]
+    # Four CPUs: a batch of 8 holds three shares' worth, not four.
+    assert model_module._shares(8, 8 * desk, 4) == [(0, 2), (2, 5), (5, 8)]
 
 
-def test_model_split_threshold(monkeypatch) -> None:
-    # The desk model's stem output at batch 32 (61,952 elements) stays
-    # below the threshold: one slice in the calling thread.
-    desk = Model(ModelConfig(blocks_per_stage=1, filters=4, image_side=22), seed=3)
-    assert _step_submits(monkeypatch, desk, 32) == (0, 0)
-    # A 60 px, 16-filter model reaches it at batch 3 (172,800 elements;
-    # batch 2 has 115,200) and then splits into two slices, one task
-    # each; each slice back-propagates inside forward, so backward hands
-    # nothing to the pool.
-    model = Model(ModelConfig(blocks_per_stage=1, filters=16, image_side=60), seed=3)
-    assert _step_submits(monkeypatch, model, 2) == (0, 0)
-    assert _step_submits(monkeypatch, model, 3) == (2, 0)
-    # A batch of one row is never handed off, whatever its size.
-    monkeypatch.setattr(model_module, "_SPLIT_MIN", 1)
-    assert _step_submits(monkeypatch, model, 1) == (0, 0)
+class _FailingModel(Model):
+    """A model whose share fails when it holds a marked image.
+
+    Image k is filled with (k + 1) / 64, negated to mark it.  With
+    ``kill`` set, a worker process that gets a marked image kills itself
+    instead.  Defined at module level, so a worker can unpickle it under
+    any start method.
+    """
+
+    kill = False
+    caller = 0  # the pid of the process that calls forward
+
+    def _share(self, x, *rest):
+        marked = [round(-v * 64) - 1 for v in x[:, 0, 0, 0] if v < 0]
+        if marked and self.kill and os.getpid() != self.caller:
+            os.kill(os.getpid(), signal.SIGKILL)
+        if marked:
+            raise RuntimeError(f"image {marked[0]} failed")
+        return super()._share(x, *rest)
 
 
-def test_failing_slice_reaches_caller(monkeypatch) -> None:
-    # Four one-image desk slices on two workers; image 1's stem backward
-    # raises.  The error reaches the caller, and the next call on the
-    # same model, still split on the pool, gives a fresh model's bytes.
-    monkeypatch.setattr(model_module, "_workers", lambda: 2)
-    monkeypatch.setattr(model_module, "_SPLIT_MIN", 1)
-    real_backward = model_module.conv2d_backward
+_DESK = ModelConfig(blocks_per_stage=1, filters=4, image_side=22)
 
-    def backward(dy, cache):
-        stem = cache[1][3] == 1
-        if stem and np.all(cache[0][0, 1:-1, 1:-1] == 0.25):  # image 1's stem
-            raise RuntimeError("slice 1 failed")
-        return real_backward(dy, cache)
 
-    config = ModelConfig(blocks_per_stage=1, filters=4, image_side=22)
-    model = Model(config, seed=1)
+def _marked_step(model: Model, batch: int, marked: tuple[int, ...]):
+    """A training step on images k = (k + 1) / 64, the marked ones negated."""
+    images = np.arange(1, batch + 1)[:, None, None] / 64 * np.ones((batch, 22, 22))
+    images[list(marked)] *= -1
     rng = np.random.default_rng(2)
-    images = rng.random((4, 22, 22))
-    images[1] = 0.25
-    fps = rng.integers(0, 2, (4, model.config.fp_width))
-    keys = rng.integers(0, 2, (4, model.config.keys_width))
-    monkeypatch.setattr(model_module, "conv2d_backward", backward)
-    with pytest.raises(RuntimeError, match="slice 1 failed"):
-        model.loss_and_gradients(images, fps, keys, np.arange(4) % 2)
-    monkeypatch.setattr(model_module, "conv2d_backward", real_backward)
-    assert model_module._batch_slices(4, 4 * 22 * 22 * 4) == [(k, k + 1) for k in range(4)]
-    assert _model_bytes(model, 4) == _model_bytes(Model(config, seed=1), 4)
+    fps = rng.integers(0, 2, (batch, model.config.fp_width))
+    keys = rng.integers(0, 2, (batch, model.config.keys_width))
+    return model.loss_and_gradients(images, fps, keys, np.arange(batch) % 2)
 
 
-def test_lowest_failing_slice_reaches_caller(monkeypatch) -> None:
-    # Four one-image desk slices on a fresh two-thread pool.  Slices 1
-    # and 3 raise in their stem backward, slice 1 only once slice 3 has:
-    # every slice still runs, and the caller gets slice 1's error.
-    pool = ThreadPoolExecutor(2, "test-slices")
+def test_failing_share_reaches_caller(monkeypatch) -> None:
+    # Two shares of a desk batch of 32; image 20, in the worker's share,
+    # fails.  The error reaches the caller, with the worker's traceback as
+    # its cause, and the next step, on the same workers, gives the calling
+    # process's own bytes.
+    monkeypatch.setattr(model_module, "_workers", lambda: 1)
+    reference = _model_bytes(Model(_DESK, seed=1), 32)
     monkeypatch.setattr(model_module, "_workers", lambda: 2)
-    monkeypatch.setattr(model_module, "_executor", lambda *_: pool)
-    monkeypatch.setattr(model_module, "_SPLIT_MIN", 1)
-    real_backward = model_module.conv2d_backward
-    ran = []
-    slice3_raised = threading.Event()
+    model = _FailingModel(_DESK, seed=1)
+    with pytest.raises(RuntimeError, match="image 20 failed") as failed:
+        _marked_step(model, 32, (20,))
+    assert "in _share" in str(failed.value.__cause__)  # the worker's traceback
+    pool = model_module._pool
+    assert _model_bytes(model, 32) == reference
+    assert model_module._pool is pool
 
-    def backward(dy, cache):
-        if cache[1][3] != 1:  # not the stem
-            return real_backward(dy, cache)
-        k = int(cache[0][0, 1, 1, 0] * 8) - 1  # image k is filled with (k + 1) / 8
-        ran.append(k)
-        if k == 1:
-            if not slice3_raised.wait(timeout=30):
-                raise RuntimeError("slice 3 never raised")
-            raise RuntimeError("slice 1 failed")
-        if k == 3:
-            try:
-                raise RuntimeError("slice 3 failed")
-            finally:
-                slice3_raised.set()
-        return real_backward(dy, cache)
 
+def test_lowest_failing_share_reaches_caller(monkeypatch) -> None:
+    # Three shares of a desk batch of 6, two images each, on three
+    # processes.  Shares 1 and 2 fail: the caller gets share 1's error.
+    # Shares 0 and 2 fail: share 0's, raised in the calling process,
+    # which stops the workers; the next step starts new ones.
+    monkeypatch.setattr(model_module, "_workers", lambda: 3)
+    monkeypatch.setattr(model_module, "_SHARE_MIN", 1)
+    model = _FailingModel(_DESK, seed=1)
+    with pytest.raises(RuntimeError, match="image 3 failed"):
+        _marked_step(model, 6, (5, 3))
+    workers = model_module._pool.processes
+    with pytest.raises(RuntimeError, match="image 1 failed"):
+        _marked_step(model, 6, (1, 4))
+    assert model_module._pool is None
+    assert not any(process.is_alive() for process in workers)
+    _marked_step(model, 6, ())
+    assert len(model_module._pool.processes) == 2
+
+
+@contextlib.contextmanager
+def _deadline(seconds: int):
+    """Raise TimeoutError in the block if it runs longer than ``seconds``."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGKILL"), reason="needs SIGKILL and SIGALRM")
+def test_killed_worker_gives_clear_error(monkeypatch) -> None:
+    # The worker is killed while the calling process waits for its share.
+    # The caller gets an error naming the worker and its exit code, not a
+    # hang, and the next step starts a new worker and gets the bytes of
+    # the calling process alone.
+    monkeypatch.setattr(model_module, "_workers", lambda: 1)
+    reference = _model_bytes(Model(_DESK, seed=1), 32)
+    monkeypatch.setattr(model_module, "_workers", lambda: 2)
+    model = _FailingModel(_DESK, seed=1)
+    model.kill, model.caller = True, os.getpid()
+    _marked_step(model, 32, ())
+    [worker] = model_module._pool.processes
+    with _deadline(60):
+        with pytest.raises(RuntimeError, match=f"process {worker.pid} exited with code -9"):
+            _marked_step(model, 32, (31,))
+    assert model_module._pool is None
+    assert _model_bytes(model, 32) == reference
+    assert model_module._pool.processes[0].pid != worker.pid
+
+
+# Runs a desk step on two shares with the start method named on the
+# command line, and prints whether its bytes equal the calling process's
+# alone, then the pids of its workers.  Guarded, as a script must be
+# under spawn.
+_WORKER_PROBE = """
+import multiprocessing, sys
+import numpy as np
+from molcap.nn import Model, ModelConfig, model as model_module
+
+def step_bytes():
     model = Model(ModelConfig(blocks_per_stage=1, filters=4, image_side=22), seed=1)
     rng = np.random.default_rng(2)
-    images = np.arange(1, 5)[:, None, None] / 8 * np.ones((4, 22, 22))
-    fps = rng.integers(0, 2, (4, model.config.fp_width))
-    keys = rng.integers(0, 2, (4, model.config.keys_width))
-    monkeypatch.setattr(model_module, "conv2d_backward", backward)
+    images = rng.random((32, 22, 22))
+    fps = rng.integers(0, 2, (32, model.config.fp_width))
+    keys = rng.integers(0, 2, (32, model.config.keys_width))
+    loss, probs, grads = model.loss_and_gradients(images, fps, keys, np.arange(32) % 2)
+    scores = model.predict(images, fps, keys)
+    return [repr(loss), probs.tobytes(), scores.tobytes(), *(g.tobytes() for g in grads.values())]
+
+if __name__ == "__main__":
+    multiprocessing.set_start_method(sys.argv[1])
+    model_module._workers = lambda: 1
+    alone = step_bytes()
+    model_module._workers = lambda: 2
+    print(step_bytes() == alone)
+    print(*(process.pid for process in model_module._pool.processes))
+"""
+
+
+def _running(pid: int) -> bool:
+    """Whether a process with this pid runs (a zombie does not)."""
     try:
-        with pytest.raises(RuntimeError, match="slice 1 failed"):
-            model.loss_and_gradients(images, fps, keys, np.arange(4) % 2)
-    finally:
-        pool.shutdown()
-    assert sorted(ran) == [0, 1, 2, 3]
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rpartition(")")[2].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads /proc")
+@pytest.mark.parametrize("method", ["fork", "spawn"])
+def test_workers_end_with_their_interpreter(method) -> None:
+    # A child interpreter runs a desk step on two shares and exits; its
+    # workers exit with it.  Under spawn, workers unpickle the model and
+    # its share anew, and still give the bytes of the calling process.
+    if method not in multiprocessing.get_all_start_methods():
+        pytest.skip(f"no {method} start method here")
+    source_root = str(Path(molcap.__file__).resolve().parents[1])
+    python_path = os.pathsep.join(filter(None, [source_root, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _WORKER_PROBE, method],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": python_path},
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    same, pids = proc.stdout.splitlines()
+    assert same == "True"
+    pids = [int(pid) for pid in pids.split()]
+    assert len(pids) == 1
+    deadline = time.monotonic() + 5
+    while any(map(_running, pids)) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert not any(map(_running, pids))
 
 
 def test_initialization_seeded_and_bounded() -> None:
