@@ -12,13 +12,21 @@ the parameters and checkpoints.  A convolution is a sum of kh*kw
 shifted matmuls: kernel tap (i, j) meets one strided view of the padded
 input, an (N, Ho, Wo, C) array that multiplies the tap's (C, F) slice of
 the filters, so every product has K = C.  A 1x1 convolution is therefore
-a single matmul with no padding.  Backward walks the same taps: dX adds
-each dY @ (F, C) product into the tap's view of a zeroed padded
-gradient, and each image's dW sums its tap-transposed-times-dY row
-products.  A convolution caches only its padded input (its input, for
-a 1x1), never a patch matrix: the default model's trunk caches about
-15 MB per image in float64, which :mod:`molcap.nn.model` holds for one
-batch slice at a time.
+a single matmul with no padding.  Backward walks the same taps, and
+each image's dW sums its tap-transposed-times-dY row products.  dX of a
+stride-1 convolution gathers: each tap multiplies its view of a
+zero-padded dY by the tap's (F, C) slice and adds the product into a
+zeroed, contiguous dX.  dX of a stride-2 convolution scatters: each
+dY @ (F, C) product goes into the tap's strided view of a zeroed padded
+gradient.  Both give every dX cell the same products in the same tap
+order, and the gather's extra products of padded zeros leave a sum
+begun at +0.0 as it was.  The gather's adds are contiguous, and with
+the one-image slices of :mod:`molcap.nn.model` a layer's working set
+fits a 2 MB L2 cache, so they cost less than the scatter's strided ones.
+A convolution caches only its padded input (its input, for a 1x1),
+never a patch matrix: the default model's trunk caches about 15 MB per
+image in float64, which :mod:`molcap.nn.model` holds for one batch slice
+at a time.
 
 The matmuls run on 4-D operands, which NumPy hands to BLAS one image row
 at a time, and a dense layer multiplies one batch row at a time.  For
@@ -169,17 +177,30 @@ def conv2d_backward(
     dw = np.empty((n, *w.shape), dtype=dy.dtype)
     rows = np.empty((n, oh, f, c), dtype=np.result_type(dy, padded))  # per-row dW
     one_tap = kh == kw == stride == 1  # one tap covers the unpadded input
+    gather = need_dx and stride == 1 and not one_tap
+    scatter = need_dx and stride != 1
     dx = None
     if one_tap and need_dx:
         dx = np.matmul(dy, taps[0, 0])
-    elif need_dx:
+    elif gather:
+        # dY padded the other way round: tap (i, j) takes dx's cell (r, s)
+        # to dY's cell (r + pbh - i, s + pbw - j), which is dyp's cell
+        # (r + kh - 1 - i, s + kw - 1 - j).  Off dY's edge that is a padded
+        # zero, whose +-0.0 product leaves a sum begun at +0.0 as it was.
+        dyp = np.zeros((n, h + kh - 1, width + kw - 1, f), dtype=dy.dtype)
+        dyp[:, kh - 1 - pbh : kh - 1 - pbh + h, kw - 1 - pbw : kw - 1 - pbw + width] = dy
+        dx = np.zeros(x_shape, dtype=dy.dtype)
+        part = np.empty_like(dx)
+    elif scatter:
         dpadded = np.zeros(padded_shape, dtype=dy.dtype)
         part = np.empty((n, oh, ow, c), dtype=dy.dtype)
         dx = dpadded[:, pbh : pbh + h, pbw : pbw + width]
     for i, j in product(range(kh), range(kw)):
         np.matmul(dy_t, _tap(padded, i, j, stride, oh, ow), out=rows)
         dw[..., i, j] = rows.sum(axis=1)
-        if need_dx and not one_tap:
+        if gather:
+            dx += np.matmul(_tap(dyp, kh - 1 - i, kw - 1 - j, 1, h, width), taps[i, j], out=part)
+        elif scatter:
             window = _tap(dpadded, i, j, stride, oh, ow)
             window += np.matmul(dy, taps[i, j], out=part)
     return dx, dw, dy.sum(axis=(1, 2))

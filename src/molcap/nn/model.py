@@ -22,17 +22,18 @@ usable CPU, once each holds enough work (see ``_SHARE_MIN``).  The
 calling process computes share 0 and worker processes, one per further
 CPU, compute the others: processes, not threads, because a step makes
 thousands of short NumPy calls and two threads would hand the GIL back
-and forth at every one.  A share runs in contiguous slices of about two
-default-model images, one after another, so each process holds one
-slice's activations at a time (see ``_SPLIT_MIN``).  A slice runs the
-convolutional trunk, stem through global average pooling, and the head
-on its own rows.  In a training step, given the labels, it then
-back-propagates its rows' logit gradients through the trunk at once,
-freeing each unit's forward cache as it goes, and keeps only each
-image's dW and db of each convolution.  When scoring, it keeps no
-unit's cache past that unit.  Every image's activations, and every
-image's own dW and db, depend on that image alone, and every dense layer
-multiplies one row at a time, so they come out the same for any cut.
+and forth at every one.  A share runs in contiguous slices of one
+default-model image, one after another, so each process holds one
+slice's activations at a time and a layer's working set fits a 2 MB L2
+cache (see ``_SPLIT_MIN``).  A slice runs the convolutional trunk, stem
+through global average pooling, and the head on its own rows.  In a
+training step, given the labels, it then back-propagates its rows'
+logit gradients through the trunk at once, freeing each unit's forward
+cache as it goes, and keeps only each image's dW and db of each
+convolution.  When scoring, it keeps no unit's cache past that unit.
+Every image's activations, and every image's own dW and db, depend on
+that image alone, and every dense layer multiplies one row at a time,
+so they come out the same for any cut.
 No share waits for another: ``backward`` runs the head and the caption
 branches on the whole batch, then sums each convolution's per-image dW
 and db over the batch, in image order, in the calling process, so
@@ -88,10 +89,16 @@ CHECKPOINT_VERSION = 1
 
 # A share runs in slices of about this many stem-output elements, one
 # after another, so a process holds one slice's activations at a time.
-# One default-model image is 57,600, so its slices are two images:
-# larger slices hold more activations per process, and smaller ones
-# make more short NumPy calls per image.
-_SPLIT_MIN = 1 << 17
+# One default-model image is 57,600, so its slices are one image: a
+# layer's working set is then about 1.5 MB in float64 and fits a 2 MB L2
+# cache, where two images' does not.  The desk model's share is one
+# slice.  A float64 training share of 16 default-model images (batch
+# 32 on two CPUs) on a 2-vCPU Xeon VM, median [quartiles] ms of 15
+# calls taken in turn, and tracemalloc peak:
+#   1 image a slice:  512 [483-556] ms, 24.5 MB
+#   2 images a slice: 574 [532-582] ms, 39.7 MB
+#   4 images a slice: 648 [618-678] ms, 70.4 MB
+_SPLIT_MIN = 1 << 16
 
 # A batch is cut into shares only when each holds at least this many
 # stem-output elements; a smaller batch runs in the calling process.

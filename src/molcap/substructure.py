@@ -478,9 +478,10 @@ class ChunkIndex:
     chunk's largest molecule.  Per basis ring, ``ring_sizes`` and
     ``ring_molecule``.  Candidate masks, one boolean array per distinct
     query-atom predicate, are built on first use by
-    :func:`_predicate_mask`.  A pair of atoms is assumed to share at
-    most one bond, as in every graph :func:`~molcap.smiles.parse_smiles`
-    returns.
+    :func:`_predicate_mask`, and packed into one Python int per molecule
+    on first use by :meth:`molecule_candidates`.  A pair of atoms is
+    assumed to share at most one bond, as in every graph
+    :func:`~molcap.smiles.parse_smiles` returns.
     """
 
     def __init__(self, graphs: Sequence[MolecularGraph]) -> None:
@@ -525,6 +526,7 @@ class ChunkIndex:
         self.ring_sizes = np.array([len(ring) for g in graphs for ring in g.rings], dtype=np.intp)
         self.ring_molecule = np.repeat(molecules, [len(g.rings) for g in graphs])
         self._candidates: dict[str, tuple[np.ndarray, int]] = {}
+        self._molecule_candidates: dict[str, list[int]] = {}
 
     def candidates(self, query: QueryPattern) -> list[tuple[np.ndarray, int]]:
         """(mask, count) of the chunk atoms satisfying each query atom, in order."""
@@ -533,6 +535,31 @@ class ChunkIndex:
                 mask = _predicate_mask(atom, self)
                 self._candidates[key] = mask, int(np.count_nonzero(mask))
         return list(map(self._candidates.__getitem__, query.atom_keys))
+
+    def molecule_candidates(self, query: QueryPattern) -> list[list[int]]:
+        """Per query atom, in order, each molecule's candidate atoms as a
+        Python int: bit ``m`` of molecule ``k``'s int stands for its atom
+        ``m``.  Each predicate's mask is packed once, for all molecules."""
+        try:
+            return list(map(self._molecule_candidates.__getitem__, query.atom_keys))
+        except KeyError:
+            width = -(-int(np.diff(self.starts).max(initial=0)) // 64) * 64
+            for key, (mask, _) in zip(query.atom_keys, self.candidates(query)):
+                if key not in self._molecule_candidates:
+                    bits = np.zeros((self.n_molecules, width), dtype=bool)
+                    bits[self.molecule, self.local] = mask
+                    self._molecule_candidates[key] = _bit_ints(bits)
+            return list(map(self._molecule_candidates.__getitem__, query.atom_keys))
+
+
+def _bit_ints(bits: np.ndarray) -> list:
+    """Boolean rows, each a whole number of 64-bit words long, as nested
+    lists of Python ints: bit ``m`` of a row's int is the row's entry ``m``."""
+    words = np.packbits(bits, axis=-1, bitorder="little").view("<u8").astype(object)
+    ints = np.zeros(words.shape[:-1], dtype=object)
+    for word in range(words.shape[-1]):
+        ints |= words[..., word] << 64 * word
+    return ints.tolist()
 
 
 class MoleculeIndex:
@@ -545,40 +572,27 @@ class MoleculeIndex:
     a bond of that query bond kind (single, double, triple, aromatic,
     default, any), packed from the molecule's slice of the chunk's
     sorted bonds.  Candidate masks, the atoms satisfying each distinct
-    query-atom predicate, are the molecule's slice of
-    :meth:`ChunkIndex.candidates`, packed on first use.  ``graph`` is
-    the chunk's molecule ``row``.
+    query-atom predicate, are the molecule's entries of
+    :meth:`ChunkIndex.molecule_candidates`.  ``graph`` is the chunk's
+    molecule ``row``.
     """
 
     def __init__(self, chunk: ChunkIndex, row: int) -> None:
         self.chunk = chunk
         self.graph = chunk.graphs[row]
         start, end = chunk.starts[row], chunk.starts[row + 1]
-        self._atoms = slice(start, end)
         n = end - start
         edges = slice(chunk.first[start], chunk.first[end])
-        sources = np.repeat(np.arange(n), chunk.degree[self._atoms])
-        # Rows padded to whole uint64 words, each word then shifted into
-        # its place in a Python int.
+        sources = np.repeat(np.arange(n), chunk.degree[start:end])
         neighbours = np.zeros((len(_BOND_KINDS), n, -(-n // 64) * 64), dtype=bool)
         neighbours[:, sources, chunk.targets[edges] - start] = chunk.bond_kinds[:, edges]
-        words = np.packbits(neighbours, axis=-1, bitorder="little").view("<u8").astype(object)
-        masks = np.zeros(words.shape[:-1], dtype=object)
-        for word in range(words.shape[-1]):
-            masks |= words[..., word] << 64 * word
-        self.bond_masks: list[list[int]] = masks.tolist()
-        self._candidates: dict[str, int] = {}
+        self.bond_masks: list[list[int]] = _bit_ints(neighbours)
+        self._row = row
 
     def candidates(self, query: QueryPattern) -> list[int]:
         """Mask of the molecule atoms satisfying each query atom, in order."""
-        try:
-            return list(map(self._candidates.__getitem__, query.atom_keys))
-        except KeyError:
-            for key, (mask, _) in zip(query.atom_keys, self.chunk.candidates(query)):
-                if key not in self._candidates:
-                    packed = np.packbits(mask[self._atoms], bitorder="little")
-                    self._candidates[key] = int.from_bytes(packed.tobytes(), "little")
-            return list(map(self._candidates.__getitem__, query.atom_keys))
+        row = self._row
+        return [masks[row] for masks in self.chunk.molecule_candidates(query)]
 
 
 def _predicate_mask(atom: QueryAtom, chunk: ChunkIndex) -> np.ndarray:

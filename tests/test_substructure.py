@@ -414,7 +414,13 @@ def test_shared_index_gives_the_same_result_as_a_fresh_one() -> None:
     for row, graph in enumerate(graphs):
         view = MoleculeIndex(chunk, row)
         assert view.bond_masks == MoleculeIndex(ChunkIndex([graph]), 0).bond_masks, row
+        atoms = slice(chunk.starts[row], chunk.starts[row + 1])
         for query in keys:
+            expected = [
+                sum(1 << m for m, hit in enumerate(mask[atoms].tolist()) if hit)
+                for mask, _ in chunk.candidates(query)
+            ]
+            assert view.candidates(query) == expected, (row, query.text)
             for cap in (1, 2, 3, 4):
                 result = match_subgraph(graph, query, cap, view)
                 assert result == match_subgraph(graph, query, cap), (row, query.text, cap)
